@@ -50,7 +50,6 @@ from .errors import (
     LimitExceeded,
 )
 from .matching import (
-    NswCertificate,
     NswMatchingResult,
     lexicographic_objective,
     nsw_matching,

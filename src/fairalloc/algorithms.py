@@ -3,8 +3,22 @@
 Both run the same three-step pipeline: a certified one-item-per-agent
 matching, a refinement round where low-rank agents pick extra items in
 topological envy order, and envy-cycle elimination to place whatever is
-left. They differ in the rank thresholds that group the agents, the number
-of refinement passes, and the notion whose factor they guarantee.
+left. The two modes differ only in constants, held in one table, `MODES`:
+
+  * `cuts` -- the rank cut points, top first; an agent joins the first group
+    whose cut its rank exceeds, or the last group (EFR: sqrt(3)+1 and 2,
+    EFX: phi);
+  * `passes` -- the refinement pick passes, as (label, group index);
+  * `factors` -- per group, the factor f with own >= f * D_ij checked after
+    refinement, D_ij being the mode's comparison denominator against every
+    rival bundle (EFR: 1, 3/4, sqrt(3)-1; EFX: 1, phi-1);
+  * `pool_bounds` -- per group, the bound c with own >= c * v for every item
+    left in the pool (EFR: sqrt(3)+1, 3, 3; EFX: phi, 2);
+  * `global_check` -- whether refinement also re-checks the final factor;
+  * `threshold` -- the guaranteed factor of the mode's notion.
+
+Every comparison against one of these constants, irrational or not, goes
+through `model.compare_scaled`, which decides it exactly in integers.
 
 Every run produces a trace: the recorded matching followed by each pick and
 rotation (replaying those reproduces the output allocation exactly) plus
@@ -22,8 +36,6 @@ from fractions import Fraction
 from .envy import (
     Cycle,
     EnvyRanks,
-    build_envy_ratio_graph,
-    envy_edges,
     find_envy_cycle,
     rotate_bundles,
     strict_envy_edges,
@@ -33,49 +45,59 @@ from .errors import InfiniteRank, InstanceTooSmall, InternalGuaranteeViolated
 from .matching import nsw_matching, verify_nsw_certificate
 from .model import (
     Allocation,
-    ExtendedRational,
     FairnessNotion,
     Instance,
+    Surd,
     Threshold,
+    _comparison_denominator,
     bundle_value,
+    compare_scaled,
     fairness_factor,
     is_infinite,
     meets_threshold,
 )
 
-# Group boundaries. The EFR algorithm splits agents at ranks sqrt(3)+1 and 2;
-# the EFX algorithm splits once at the golden ratio. Both splits are decided
-# exactly by squaring, never via floats.
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """The constants that set one mode's pipeline apart (see module docstring)."""
+
+    cuts: tuple[Surd, ...]
+    passes: tuple[tuple[str, int], ...]
+    factors: tuple[Surd, ...]
+    pool_bounds: tuple[Surd, ...]
+    global_check: bool
+    threshold: Threshold
 
 
-def _rank_above_sqrt3_plus_one(rank: ExtendedRational) -> bool:
-    if is_infinite(rank):
-        return True
-    return (rank - 1) ** 2 > 3  # rank >= 1, so squaring preserves order
+_SQRT3_PLUS_ONE = Surd(1, 1, 3)
+_GOLDEN_RATIO = Surd(1, 1, 5, 2)
+
+MODES: dict[FairnessNotion, ModeSpec] = {
+    FairnessNotion.EFR: ModeSpec(
+        cuts=(_SQRT3_PLUS_ONE, Surd(2)),
+        passes=(("g3-pass-1", 2), ("g3-pass-2", 2), ("g2", 1)),
+        factors=(Surd(1), Surd(3, r=4), Threshold.SQRT3_MINUS_ONE.surd),
+        pool_bounds=(_SQRT3_PLUS_ONE, Surd(3), Surd(3)),
+        global_check=True,
+        threshold=Threshold.SQRT3_MINUS_ONE,
+    ),
+    FairnessNotion.EFX: ModeSpec(
+        cuts=(_GOLDEN_RATIO,),
+        passes=(("g2", 1),),
+        factors=(Surd(1), Threshold.GOLDEN_RATIO_MINUS_ONE.surd),
+        pool_bounds=(_GOLDEN_RATIO, Surd(2)),
+        global_check=False,
+        threshold=Threshold.GOLDEN_RATIO_MINUS_ONE,
+    ),
+}
 
 
-def _rank_above_golden_ratio(rank: ExtendedRational) -> bool:
-    if is_infinite(rank):
-        return True
-    return (2 * rank - 1) ** 2 > 5
-
-
-def _at_least_sqrt3_times(a: Fraction, b: Fraction) -> bool:
-    """Exact a >= sqrt(3) * b for rationals."""
-    if b <= 0:
-        return True
-    if a < 0:
-        return False
-    return a * a >= 3 * b * b
-
-
-def _at_least_sqrt5_times(a: Fraction, b: Fraction) -> bool:
-    """Exact a >= sqrt(5) * b for rationals."""
-    if b <= 0:
-        return True
-    if a < 0:
-        return False
-    return a * a >= 5 * b * b
+def _mode_spec(mode: FairnessNotion) -> ModeSpec:
+    try:
+        return MODES[mode]
+    except KeyError:
+        raise ValueError("grouping is defined for the EFR and EFX modes only") from None
 
 
 @dataclass(frozen=True)
@@ -88,12 +110,16 @@ class AgentGroups:
     g3: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.mode not in (FairnessNotion.EFR, FairnessNotion.EFX):
-            raise ValueError("grouping is defined for the EFR and EFX modes only")
-        if self.mode is FairnessNotion.EFX and self.g3:
-            raise ValueError("EFX mode has no third group")
+        group_count = len(_mode_spec(self.mode).cuts) + 1
+        if any(self.members[group_count:]):
+            raise ValueError(f"{self.mode.name} mode has only {group_count} groups")
         if self.g1 & self.g2 or self.g1 & self.g3 or self.g2 & self.g3:
             raise ValueError("groups overlap")
+
+    @property
+    def members(self) -> tuple[frozenset[int], ...]:
+        """The groups in table order: g1, g2, g3."""
+        return (self.g1, self.g2, self.g3)
 
 
 def partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
@@ -110,22 +136,16 @@ def partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
 
 
 def _partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
-    if mode is FairnessNotion.EFX:
-        g1 = frozenset(
-            i for i, r in enumerate(ranks.ranks) if _rank_above_golden_ratio(r)
-        )
-        g2 = frozenset(range(len(ranks))) - g1
-        return AgentGroups(mode, g1, g2)
-    if mode is not FairnessNotion.EFR:
-        raise ValueError("grouping is defined for the EFR and EFX modes only")
-    g1 = frozenset(
-        i for i, r in enumerate(ranks.ranks) if _rank_above_sqrt3_plus_one(r)
-    )
-    g3 = frozenset(
-        i for i, r in enumerate(ranks.ranks) if i not in g1 and r <= 2
-    )
-    g2 = frozenset(range(len(ranks))) - g1 - g3
-    return AgentGroups(mode, g1, g2, g3)
+    cuts = _mode_spec(mode).cuts
+    groups: list[set[int]] = [set() for _ in range(3)]
+    for agent, rank in enumerate(ranks.ranks):
+        for group, cut in enumerate(cuts):
+            if is_infinite(rank) or compare_scaled(rank, cut, 1) > 0:
+                break
+        else:
+            group = len(cuts)
+        groups[group].add(agent)
+    return AgentGroups(mode, *(frozenset(g) for g in groups))
 
 
 # --- Trace events -----------------------------------------------------------
@@ -236,20 +256,19 @@ def refine_step2(
 ) -> RefinementState:
     """Let the low-rank groups extend their bundles from the pool.
 
-    EFR mode: the bottom group picks its best remaining item twice (two
-    full passes in topological order), then the middle group picks once.
-    EFX mode: the bottom group picks once. Agents whose turn finds an
-    empty pool are skipped.
+    The mode's passes run in table order, each one pick per member in
+    topological order. EFR mode: the bottom group picks its best remaining
+    item twice (two full passes), then the middle group picks once. EFX
+    mode: the bottom group picks once. Agents whose turn finds an empty
+    pool are skipped.
     """
     if trace is None:
         trace = []
     allocation, groups, order = state.allocation, state.groups, state.order
-    if groups.mode is FairnessNotion.EFR:
-        allocation = _pick_pass(instance, allocation, groups.g3, order, "g3-pass-1", trace)
-        allocation = _pick_pass(instance, allocation, groups.g3, order, "g3-pass-2", trace)
-        allocation = _pick_pass(instance, allocation, groups.g2, order, "g2", trace)
-    else:
-        allocation = _pick_pass(instance, allocation, groups.g2, order, "g2", trace)
+    for label, group in MODES[groups.mode].passes:
+        allocation = _pick_pass(
+            instance, allocation, groups.members[group], order, label, trace
+        )
     return RefinementState(allocation, groups, order)
 
 
@@ -303,123 +322,45 @@ def _check(trace: Trace, name: str, passed: bool) -> None:
         raise InternalGuaranteeViolated(name)
 
 
-def _removal_expectations(
-    instance: Instance, allocation: Allocation, envier: int
-) -> list[Fraction]:
-    out = []
-    for j in range(instance.agent_count):
-        if j == envier:
-            continue
-        bundle = allocation.bundles[j]
-        k = len(bundle)
-        if k <= 1:
-            out.append(Fraction(0))
-        else:
-            out.append(Fraction(k - 1, k) * bundle_value(instance, envier, bundle))
-    return out
-
-
-def _max_after_any_removal(
-    instance: Instance, allocation: Allocation, envier: int
-) -> list[Fraction]:
-    out = []
-    for j in range(instance.agent_count):
-        if j == envier:
-            continue
-        bundle = allocation.bundles[j]
-        if len(bundle) <= 1:
-            out.append(Fraction(0))
-        else:
-            total = bundle_value(instance, envier, bundle)
-            out.append(total - min(instance.value(envier, b) for b in bundle))
-    return out
-
-
-def _check_refined_efr(
-    instance: Instance, state: RefinementState, trace: Trace
-) -> None:
-    """Exact per-group guarantees at the end of the EFR refinement step."""
+def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> None:
+    """Exact per-group guarantees at the end of the refinement step."""
     allocation, groups = state.allocation, state.groups
-    own = {
-        i: bundle_value(instance, i, allocation.bundles[i])
-        for i in range(instance.agent_count)
-    }
-    _check(
-        trace,
-        "refine-g1-full-fairness",
-        all(e <= own[i] for i in groups.g1 for e in _removal_expectations(instance, allocation, i)),
-    )
-    _check(
-        trace,
-        "refine-g2-factor",  # factor 3/4
-        all(4 * own[i] >= 3 * e for i in groups.g2 for e in _removal_expectations(instance, allocation, i)),
-    )
-    _check(
-        trace,
-        "refine-g3-factor",  # factor 2/(sqrt(3)+1): own >= (sqrt(3)-1)*e
-        all(
-            _at_least_sqrt3_times(own[i] + e, e)
-            for i in groups.g3
-            for e in _removal_expectations(instance, allocation, i)
-        ),
-    )
-    _check(
-        trace,
-        "refine-global-factor",  # 2/(sqrt(3)+1) == sqrt(3)-1 overall
-        meets_threshold(
-            fairness_factor(instance, allocation, FairnessNotion.EFR),
-            Threshold.SQRT3_MINUS_ONE,
-        ),
-    )
+    mode, spec = groups.mode, MODES[groups.mode]
+    n = instance.agent_count
+    own = [bundle_value(instance, i, allocation.bundles[i]) for i in range(n)]
+    for k, (members, factor) in enumerate(zip(groups.members, spec.factors)):
+        _check(
+            trace,
+            "refine-g1-full-fairness" if k == 0 else f"refine-g{k + 1}-factor",
+            all(
+                compare_scaled(
+                    own[i],
+                    factor,
+                    _comparison_denominator(instance, i, allocation.bundles[j], mode),
+                )
+                >= 0
+                for i in members
+                for j in range(n)
+                if j != i
+            ),
+        )
+    if spec.global_check:
+        _check(
+            trace,
+            "refine-global-factor",
+            meets_threshold(fairness_factor(instance, allocation, mode), spec.threshold),
+        )
     pool = sorted(allocation.remaining)
-    bounds_hold = True
-    for i in range(instance.agent_count):
-        for item in pool:
-            v = instance.value(i, item)
-            if i in groups.g1:
-                # (sqrt(3)+1) * v <= own
-                if not _at_least_sqrt3_times(own[i] - v, v):
-                    bounds_hold = False
-            elif 3 * v > own[i]:
-                bounds_hold = False
-    _check(trace, "refine-remaining-bounds", bounds_hold)
-
-
-def _check_refined_efx(
-    instance: Instance, state: RefinementState, trace: Trace
-) -> None:
-    """Exact per-group guarantees at the end of the EFX refinement step."""
-    allocation, groups = state.allocation, state.groups
-    own = {
-        i: bundle_value(instance, i, allocation.bundles[i])
-        for i in range(instance.agent_count)
-    }
     _check(
         trace,
-        "refine-g1-full-fairness",
-        all(d <= own[i] for i in groups.g1 for d in _max_after_any_removal(instance, allocation, i)),
-    )
-    _check(
-        trace,
-        "refine-g2-factor",  # factor phi-1: 2*own + d >= sqrt(5)*d
+        "refine-remaining-bounds",
         all(
-            _at_least_sqrt5_times(2 * own[i] + d, d)
-            for i in groups.g2
-            for d in _max_after_any_removal(instance, allocation, i)
+            compare_scaled(own[i], bound, instance.value(i, item)) >= 0
+            for members, bound in zip(groups.members, spec.pool_bounds)
+            for i in members
+            for item in pool
         ),
     )
-    pool = sorted(allocation.remaining)
-    bounds_hold = True
-    for i in range(instance.agent_count):
-        for item in pool:
-            v = instance.value(i, item)
-            if i in groups.g1:
-                # phi * v <= own, i.e. sqrt(5) * v <= 2*own - v
-                if not _at_least_sqrt5_times(2 * own[i] - v, v):
-                    bounds_hold = False
-            elif 2 * v > own[i]:
-                bounds_hold = False
-    _check(trace, "refine-remaining-bounds", bounds_hold)
 
 
 # --- Solvers -----------------------------------------------------------------
@@ -432,11 +373,7 @@ def _solve(
         raise InstanceTooSmall(
             f"need at least {instance.agent_count} items, got {instance.item_count}"
         )
-    threshold = (
-        Threshold.SQRT3_MINUS_ONE
-        if mode is FairnessNotion.EFR
-        else Threshold.GOLDEN_RATIO_MINUS_ONE
-    )
+    threshold = MODES[mode].threshold
     trace: Trace = []
 
     result = nsw_matching(instance)
@@ -451,17 +388,15 @@ def _solve(
     groups = _partition_groups(result.ranks, mode)
     trace.append(GroupsAssigned(groups))
 
-    graph = build_envy_ratio_graph(instance, result.allocation)
-    order = topological_order(instance.agent_count, envy_edges(graph))
+    order = topological_order(
+        instance.agent_count, strict_envy_edges(instance, result.allocation)
+    )
 
     state = refine_step2(
         instance, RefinementState(result.allocation, groups, order), trace
     )
     if check:
-        if mode is FairnessNotion.EFR:
-            _check_refined_efr(instance, state, trace)
-        else:
-            _check_refined_efx(instance, state, trace)
+        _check_refined(instance, state, trace)
 
     allocation = envy_cycle_elimination(
         instance,

@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algorithms import replay_trace, solve_efr, solve_efx
+from .algorithms import MODES, replay_trace, solve_efr, solve_efx
 from .envy import build_envy_ratio_graph
 from .errors import FairAllocError, InternalGuaranteeViolated
 from .files import (
@@ -139,11 +139,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise FairAllocError("count must be non-negative")
     notion = FairnessNotion(args.algorithm)
     solver = solve_efr if args.algorithm == "efr" else solve_efx
-    threshold = (
-        Threshold.SQRT3_MINUS_ONE
-        if notion is FairnessNotion.EFR
-        else Threshold.GOLDEN_RATIO_MINUS_ONE
-    )
+    threshold = MODES[notion].threshold
     instances = random_instances(
         count=args.count,
         agents=_parse_range(args.agents_range),

@@ -13,6 +13,7 @@ positive product.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -211,10 +212,10 @@ def _shortest_positive_path(
 ) -> list[int] | None:
     """BFS path source..target over positive edges; None if unreachable."""
     pred: dict[int, int] = {}
-    queue = [source]
+    queue = deque([source])
     seen = {source}
     while queue:
-        vertex = queue.pop(0)
+        vertex = queue.popleft()
         if vertex == target:
             path = [vertex]
             while path[-1] != source:
@@ -320,35 +321,33 @@ def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
     """Some directed cycle of strict envy, or None if the envy graph is acyclic.
 
     Depth-first search starting from the smallest agent index, visiting
-    neighbours in ascending order.
+    neighbours in ascending order. The search keeps its own stack, so the
+    length of an envy chain is not bounded by the recursion limit.
     """
-    edges = strict_envy_edges(instance, allocation)
-    successors: dict[int, list[int]] = {i: [] for i in range(instance.agent_count)}
-    for i, j in sorted(edges):
+    n = instance.agent_count
+    successors: list[list[int]] = [[] for _ in range(n)]
+    for i, j in sorted(strict_envy_edges(instance, allocation)):
         successors[i].append(j)
 
-    color = {i: 0 for i in range(instance.agent_count)}  # 0 new, 1 open, 2 done
-    stack: list[int] = []
-
-    def visit(vertex: int) -> Cycle | None:
-        color[vertex] = 1
-        stack.append(vertex)
-        for nxt in successors[vertex]:
-            if color[nxt] == 1:
-                return _canonical(stack[stack.index(nxt):])
-            if color[nxt] == 0:
-                found = visit(nxt)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[vertex] = 2
-        return None
-
-    for start in range(instance.agent_count):
-        if color[start] == 0:
-            found = visit(start)
-            if found is not None:
-                return found
+    color = [0] * n  # 0 new, 1 open, 2 done
+    for start in range(n):
+        if color[start]:
+            continue
+        color[start] = 1
+        path = [start]  # the open vertices, in visit order
+        pending = [iter(successors[start])]  # each one's unvisited neighbours
+        while path:
+            for nxt in pending[-1]:
+                if color[nxt] == 1:
+                    return _canonical(path[path.index(nxt):])
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    path.append(nxt)
+                    pending.append(iter(successors[nxt]))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return None
 
 

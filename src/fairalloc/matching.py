@@ -43,18 +43,9 @@ Objective = tuple[int, Fraction]
 
 
 @dataclass(frozen=True)
-class NswCertificate:
-    """The two exactly-verified properties of a finished matching."""
-
-    no_improving_cycle: bool
-    remaining_items_bounded: bool
-
-
-@dataclass(frozen=True)
 class NswMatchingResult:
     allocation: Allocation
     ranks: EnvyRanks
-    certificate: NswCertificate
 
 
 def lexicographic_objective(instance: Instance, allocation: Allocation) -> Objective:
@@ -153,10 +144,7 @@ def nsw_matching(instance: Instance) -> NswMatchingResult:
         allocation = _apply_path_move(allocation, path, item)
         after = lexicographic_objective(instance, allocation)
         assert after > before, "pool reallocation must improve the objective"
-    certificate = NswCertificate(
-        no_improving_cycle=True, remaining_items_bounded=True
-    )
-    return NswMatchingResult(allocation, ranks, certificate)
+    return NswMatchingResult(allocation, ranks)
 
 
 def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:

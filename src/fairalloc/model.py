@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidAllocation, InvalidInstance
 
@@ -32,12 +32,58 @@ class FairnessNotion(enum.Enum):
     EFR = "efr"
 
 
+class Surd(NamedTuple):
+    """The real number (p + q*sqrt(d)) / r, for integers d >= 0 and r > 0.
+
+    q = 0 gives a rational; a rational t is Surd(t.numerator, 0, 0, t.denominator).
+    """
+
+    p: int
+    q: int = 0
+    d: int = 0
+    r: int = 1
+
+
+def compare_scaled(x: Fraction | int, t: Surd, y: Fraction | int) -> int:
+    """Exact sign (-1, 0 or 1) of x - t*y for rationals x and y.
+
+    Scaling by the positive r * den(x) * den(y) leaves the sign of
+    P - Q*sqrt(d) for integers P and Q, decided by squaring only when P and
+    Q share a sign. It works on numerators and denominators because Fraction
+    arithmetic reduces every intermediate by a gcd, which measured slower
+    than the hand-squared comparisons this replaces.
+    """
+    p, q, d, r = t
+    xn, xd = x.numerator, x.denominator
+    yn, yd = y.numerator, y.denominator
+    big_p = r * xn * yd - p * yn * xd
+    big_q = q * yn * xd
+    if big_q == 0:
+        return (big_p > 0) - (big_p < 0)
+    if big_q > 0 and big_p <= 0:
+        return -1
+    if big_q < 0 and big_p >= 0:
+        return 1
+    diff = big_p * big_p - d * big_q * big_q
+    sign = (diff > 0) - (diff < 0)
+    return sign if big_p > 0 else -sign
+
+
 class Threshold(enum.Enum):
-    """Irrational guarantee thresholds, compared exactly by squaring."""
+    """Irrational guarantee thresholds; `surd` is the exact number."""
 
     SQRT3_MINUS_ONE = "sqrt3-1"
     GOLDEN_RATIO_MINUS_ONE = "phi-1"
 
+    @property
+    def surd(self) -> Surd:
+        return _THRESHOLD_SURDS[self]
+
+
+_THRESHOLD_SURDS = {
+    Threshold.SQRT3_MINUS_ONE: Surd(-1, 1, 3),
+    Threshold.GOLDEN_RATIO_MINUS_ONE: Surd(-1, 1, 5, 2),
+}
 
 SQRT3_MINUS_ONE = Threshold.SQRT3_MINUS_ONE
 GOLDEN_RATIO_MINUS_ONE = Threshold.GOLDEN_RATIO_MINUS_ONE
@@ -184,8 +230,11 @@ class FairnessReport:
 def _comparison_denominator(
     instance: Instance, envier: int, rival_bundle: frozenset[int], notion: FairnessNotion
 ) -> Fraction:
-    """The rival-bundle quantity the envier's own value is measured against."""
-    if not rival_bundle:
+    """The rival-bundle quantity the envier's own value is measured against.
+
+    Every notion but EF removes an item first, so a singleton leaves 0.
+    """
+    if not rival_bundle or (len(rival_bundle) == 1 and notion is not FairnessNotion.EF):
         return Fraction(0)
     total = bundle_value(instance, envier, rival_bundle)
     if notion is FairnessNotion.EF:
@@ -234,18 +283,11 @@ def fairness_factor(
 def factor_at_least(
     factor: ExtendedRational, threshold: Threshold | Fraction | int
 ) -> bool:
-    """Exact test of factor >= threshold; an unbounded factor passes always.
-
-    The two irrational thresholds are decided by squaring: for f >= 0,
-    f >= sqrt(3)-1 iff (f+1)^2 >= 3, and f >= (sqrt(5)-1)/2 iff
-    (2f+1)^2 >= 5.
-    """
+    """Exact test of factor >= threshold; an unbounded factor passes always."""
     if is_infinite(factor):
         return True
-    if threshold is Threshold.SQRT3_MINUS_ONE:
-        return (factor + 1) ** 2 >= 3
-    if threshold is Threshold.GOLDEN_RATIO_MINUS_ONE:
-        return (2 * factor + 1) ** 2 >= 5
+    if isinstance(threshold, Threshold):
+        return compare_scaled(factor, threshold.surd, 1) >= 0
     return factor >= Fraction(threshold)
 
 

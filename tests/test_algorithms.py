@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from fairalloc import (
 )
 from fairalloc.algorithms import AgentGroups, GroupsAssigned
 from fairalloc.envy import EnvyRanks
-from fairalloc.files import random_instances
+from fairalloc.files import allocation_to_json, random_instances, trace_to_lines
 
 EFR = FairnessNotion.EFR
 EFX = FairnessNotion.EFX
@@ -46,6 +47,7 @@ class TestPartitionGroups:
     def test_rank_two_boundary_is_bottom(self):
         groups = partition_groups(ranks_of(2), EFR)
         assert groups.g3 == {0}
+        assert partition_groups(ranks_of(2), EFX).g1 == {0}  # 2 > phi
 
     def test_rank_just_above_two_is_middle(self):
         groups = partition_groups(ranks_of(Fraction(21, 10)), EFR)
@@ -53,8 +55,9 @@ class TestPartitionGroups:
 
     def test_fourteen_fifths_is_top(self):
         # (14/5 - 1)^2 = 81/25 > 3, so 14/5 > sqrt(3) + 1
-        groups = partition_groups(ranks_of(Fraction(14, 5)), EFR)
+        groups = partition_groups(ranks_of(Fraction(14, 5), Fraction(27, 10)), EFR)
         assert groups.g1 == {0}
+        assert groups.g2 == {1}  # (27/10 - 1)^2 = 289/100 < 3
 
     def test_efx_split_around_golden_ratio(self):
         groups = partition_groups(ranks_of(Fraction(8, 5), Fraction(9, 5)), EFX)
@@ -256,3 +259,21 @@ class TestTraceReplay:
         allocation, trace = solve_efx(four_by_four)
         assert isinstance(trace[0], MatchingDone)
         assert replay_trace(trace) == allocation
+
+
+class TestGoldenTrace:
+    def test_seeded_batch_digest(self):
+        """Allocations and full traces of a seeded acceptance-shaped batch:
+        the group events and the invariant check names and order are pinned
+        together with the picks and rotations."""
+        digest = hashlib.sha256()
+        for _, instance in random_instances(
+            100, (2, 6), (2, 12), 0, 100, (Fraction(0), Fraction(1, 10)), seed=20261018
+        ):
+            for solver in (solve_efr, solve_efx):
+                allocation, trace = solver(instance, check=True)
+                digest.update(allocation_to_json(allocation).encode())
+                digest.update(trace_to_lines(trace).encode())
+        assert digest.hexdigest() == (
+            "ede0989055a2873edfdde63b1cf5ff54eedc16d1cf0f3110f9d7666174e2a192"
+        )

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -241,6 +243,33 @@ class TestEnvyCycles:
 
     def test_4x4_identity_is_acyclic(self, four_by_four, identity_allocation):
         assert find_envy_cycle(four_by_four, identity_allocation) is None
+
+    def test_search_order_decides_between_cycles(self):
+        # Identity allocation with strict envy 0->1, 0->2, 1->2, 2->0, 2->3,
+        # 3->1: searching from agent 0 in ascending order closes (0, 1, 2)
+        # before it could reach (1, 2, 3).
+        instance = Instance.from_rows(
+            [[10, 20, 20, 1], [1, 10, 20, 1], [20, 1, 10, 20], [1, 20, 1, 10]]
+        )
+        allocation = Allocation.of([[0], [1], [2], [3]], 4)
+        assert find_envy_cycle(instance, allocation) == (0, 1, 2)
+
+    def test_long_envy_chain_needs_no_deep_recursion(self):
+        # Agent i envies only agent i+1; the last agent envies agent 0. The
+        # lowered limit leaves 100 frames, half the chain, which keeps the
+        # instance small enough to build quickly.
+        n = 200
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i], rows[i][(i + 1) % n] = 1, 2
+        instance = Instance.from_rows(rows)
+        allocation = Allocation.of([[i] for i in range(n)], n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            assert find_envy_cycle(instance, allocation) == tuple(range(n))
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestRotation:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from fairalloc import (
     meets_threshold,
     removal_expectation,
 )
+from fairalloc.model import Surd, compare_scaled
 from fairalloc.oracle import oracle_removal_expectation
 
 
@@ -234,3 +237,65 @@ class TestThresholds:
         # (sqrt(5)-1)/2 = 0.6180...: 5/8 passes, 3/5 does not
         assert factor_at_least(Fraction(5, 8), GOLDEN_RATIO_MINUS_ONE)
         assert not factor_at_least(Fraction(3, 5), GOLDEN_RATIO_MINUS_ONE)
+
+    def test_rank_cut_points(self):
+        sqrt3_plus_one, golden_ratio = Surd(1, 1, 3), Surd(1, 1, 5, 2)
+        assert compare_scaled(Fraction(14, 5), sqrt3_plus_one, 1) == 1
+        assert compare_scaled(Fraction(27, 10), sqrt3_plus_one, 1) == -1
+        assert compare_scaled(Fraction(2), Surd(2), 1) == 0
+        assert compare_scaled(Fraction(9, 5), golden_ratio, 1) == 1
+        assert compare_scaled(Fraction(8, 5), golden_ratio, 1) == -1
+
+
+MAGNITUDES = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+
+
+def _decimal(value: Fraction) -> Decimal:
+    return Decimal(value.numerator) / Decimal(value.denominator)
+
+
+def _reference_sign(x: Fraction, a: Fraction, b: Fraction, d: int, y: Fraction) -> int:
+    """Sign of x - (a + b*sqrt(d))*y: exact when rational, else 150 digits."""
+    if b * y == 0:
+        exact = x - a * y
+        return (exact > 0) - (exact < 0)
+    with localcontext() as ctx:
+        ctx.prec = 150
+        value = _decimal(x) - (_decimal(a) + _decimal(b) * Decimal(d).sqrt()) * _decimal(y)
+        # Irrational, so nonzero: with these input sizes |value| > 1e-61, far
+        # above the rounding error of about 1e-135.
+        assert abs(value) > Decimal(10) ** -100
+        return 1 if value > 0 else -1
+
+
+def _surd(a: Fraction, b: Fraction, d: int) -> Surd:
+    r = a.denominator * b.denominator
+    return Surd(a.numerator * b.denominator, b.numerator * a.denominator, d, r)
+
+
+class TestCompareScaled:
+    @given(
+        x=MAGNITUDES,
+        a=MAGNITUDES,
+        b=MAGNITUDES,
+        y=MAGNITUDES,
+        d=st.sampled_from((2, 3, 5, 7)),
+    )
+    def test_every_sign_combination_matches_decimal(self, x, a, b, y, d):
+        for sx, sa, sb in itertools.product((-1, 0, 1), repeat=3):
+            for yy in (y, Fraction(0)):
+                expected = _reference_sign(sx * x, sa * a, sb * b, d, yy)
+                assert compare_scaled(sx * x, _surd(sa * a, sb * b, d), yy) == expected
+
+    @given(
+        a=st.fractions(min_value=-100, max_value=100, max_denominator=100),
+        b=st.fractions(min_value=-100, max_value=100, max_denominator=100),
+        y=MAGNITUDES,
+        d=st.sampled_from((2, 3, 5, 7)),
+    )
+    def test_near_ties_match_decimal(self, a, b, y, d):
+        with localcontext() as ctx:
+            ctx.prec = 150
+            exact = (_decimal(a) + _decimal(b) * Decimal(d).sqrt()) * _decimal(y)
+        x = Fraction(exact).limit_denominator(10**6)
+        assert compare_scaled(x, _surd(a, b, d), y) == _reference_sign(x, a, b, d, y)
