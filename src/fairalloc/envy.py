@@ -5,15 +5,19 @@ w[i][j] = v_i(bundle_j) / v_i(bundle_i). Agents with zero own-bundle value
 get w = inf toward bundles they value positively and w = 0 otherwise, which
 keeps every downstream comparison total. Diagonal entries are not defined.
 
-Weight products are computed exactly: a 0 weight absorbs everything (a path
+`product` multiplies weights exactly: a 0 weight absorbs everything (a path
 or cycle through it can never beat the empty path), and inf dominates any
-positive product.
+positive product. The one max-product relaxation behind improving cycles,
+envy ranks and rank-attaining paths carries each positive weight as a pair
+(k, x) meaning inf**k * x, so a finite w is (0, w) and inf is (1, 1). Along
+a path the k parts add and the x parts multiply, and pairs compare
+lexicographically. A cycle through an infinite edge is then improving like
+any other, and a rank with k > 0 reads back as INF.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -30,6 +34,7 @@ from .model import (
 )
 
 Cycle = tuple[int, ...]
+OrderValue = tuple[int, Fraction]  # (k, x) stands for inf**k * x
 
 
 @dataclass(frozen=True)
@@ -111,40 +116,46 @@ def envy_edges(graph: EnvyRatioGraph) -> frozenset[tuple[int, int]]:
     return frozenset((i, j) for (i, j) in graph.pairs() if graph.weight(i, j) > 1)
 
 
-def _relax_max_product(
-    graph: EnvyRatioGraph, include_infinite: bool
-) -> tuple[list[ExtendedRational], list[int | None], int | None]:
-    """Max-product relaxation from the all-ones baseline.
+def _order_value(weight: ExtendedRational) -> OrderValue:
+    """A positive weight as (k, x): a finite w is (0, w) and inf is (1, 1)."""
+    return (1, Fraction(1)) if is_infinite(weight) else (0, weight)
 
-    Runs agent_count - 1 rounds over the positive-weight edges (weight-0
-    edges can never improve on the empty path), then one extra probing
-    round. Returns (values, predecessors, probe) where probe is a vertex
-    that still improved on the extra round, i.e. evidence of a cycle with
-    product above 1, or None once values are stable.
+
+def _relax_max_product(graph: EnvyRatioGraph) -> tuple[EnvyRanks, list[int | None]]:
+    """Envy ranks plus the predecessor links of rank-attaining paths.
+
+    Max-product Bellman-Ford over (k, x) pairs from the all-ones baseline,
+    on the positive edges in `pairs()` order (a weight-0 edge can never beat
+    the empty path): at most agent_count - 1 rounds, stopping after a round
+    without change, then one probing round. An edge that still improves in
+    the probe closes an improving cycle in the predecessor links, which is
+    raised as ImprovingCycleExists. Otherwise the values are exactly the
+    simple-path maxima (any walk reduces to a simple path of at least the
+    same product once no cycle beats 1).
     """
     n = graph.agent_count
     edges = [
-        (i, j, w)
+        (i, j, _order_value(w))
         for (i, j) in graph.pairs()
-        if (w := graph.weight(i, j)) > 0 and (include_infinite or not is_infinite(w))
+        if (w := graph.weight(i, j)) > 0
     ]
-    values: list[ExtendedRational] = [Fraction(1)] * n
+    values: list[OrderValue] = [(0, Fraction(1))] * n
     preds: list[int | None] = [None] * n
-    for _ in range(max(n - 1, 0)):
+    for round_ in range(n):  # the last round is the probe
         changed = False
-        for i, j, w in edges:
-            candidate = product([values[i], w])
+        for i, j, (k, x) in edges:
+            candidate = (values[i][0] + k, values[i][1] * x)
             if candidate > values[j]:
-                values[j] = candidate
                 preds[j] = i
+                if round_ == n - 1:
+                    cycle = _cycle_from_predecessors(preds, j, n)
+                    assert product(cycle_weights(graph, cycle)) > 1
+                    raise ImprovingCycleExists(cycle)
+                values[j] = candidate
                 changed = True
         if not changed:
-            return values, preds, None
-    for i, j, w in edges:
-        if product([values[i], w]) > values[j]:
-            preds[j] = i
-            return values, preds, j
-    return values, preds, None
+            break
+    return EnvyRanks(tuple(INF if k else x for k, x in values)), preds
 
 
 def _cycle_from_predecessors(preds: list[int | None], start: int, n: int) -> Cycle:
@@ -164,97 +175,29 @@ def _cycle_from_predecessors(preds: list[int | None], start: int, n: int) -> Cyc
     return _canonical(chain)
 
 
-def _infinite_edge_cycle(graph: EnvyRatioGraph) -> Cycle | None:
-    """A cycle through an infinite-ratio edge with all other edges positive.
-
-    Such cycles qualify as improving but are invisible to a saturating
-    relaxation (an already-infinite value cannot strictly improve), so they
-    are found by plain reachability instead.
-    """
-    n = graph.agent_count
-    positive_out: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j in graph.pairs():
-        if graph.weight(i, j) > 0:
-            positive_out[i].append(j)
-    for i, j in graph.pairs():
-        if not is_infinite(graph.weight(i, j)):
-            continue
-        path = _shortest_positive_path(positive_out, j, i)
-        if path is not None:
-            cycle = _canonical([i] + path[:-1])  # path ends at i, closing the cycle
-            assert product(cycle_weights(graph, cycle)) > 1
-            return cycle
-    return None
+def _predecessor_path(preds: list[int | None], agent: int) -> list[int]:
+    """The path the predecessor links lead along, ending at the agent."""
+    path = [agent]
+    while (cursor := preds[path[-1]]) is not None:
+        path.append(cursor)
+    return path[::-1]
 
 
 def find_improving_cycle(graph: EnvyRatioGraph) -> Cycle | None:
-    """Some directed cycle whose exact weight product exceeds 1, if any.
-
-    Infinite-edge cycles are handled first by reachability; with those
-    ruled out, any improving cycle has finite positive weights and the
-    usual relaxation argument applies: a value still improving after
-    agent_count - 1 rounds pins a cycle in the predecessor links.
-    """
-    found = _infinite_edge_cycle(graph)
-    if found is not None:
-        return found
-    values, preds, probe = _relax_max_product(graph, include_infinite=False)
-    del values
-    if probe is None:
-        return None
-    cycle = _cycle_from_predecessors(preds, probe, graph.agent_count)
-    assert product(cycle_weights(graph, cycle)) > 1
-    return cycle
-
-
-def _shortest_positive_path(
-    adjacency: dict[int, list[int]], source: int, target: int
-) -> list[int] | None:
-    """BFS path source..target over positive edges; None if unreachable."""
-    pred: dict[int, int] = {}
-    queue = deque([source])
-    seen = {source}
-    while queue:
-        vertex = queue.popleft()
-        if vertex == target:
-            path = [vertex]
-            while path[-1] != source:
-                path.append(pred[path[-1]])
-            return path[::-1]
-        for nxt in sorted(adjacency[vertex]):
-            if nxt not in seen:
-                seen.add(nxt)
-                pred[nxt] = vertex
-                queue.append(nxt)
+    """Some directed cycle whose exact weight product exceeds 1, if any."""
+    try:
+        _relax_max_product(graph)
+    except ImprovingCycleExists as found:
+        return found.cycle
     return None
 
 
 def envy_ranks(graph: EnvyRatioGraph) -> EnvyRanks:
     """Envy rank of every agent: max product over simple paths ending there.
 
-    Requires a graph without improving cycles; with none, the relaxation
-    stabilizes on exactly the simple-path maxima (any walk reduces to a
-    simple path of at least the same product once no cycle beats 1).
+    Raises ImprovingCycleExists, naming a cycle, on a graph that has one.
     """
-    ranks, _ = _ranks_with_predecessors(graph)
-    return ranks
-
-
-def _ranks_with_predecessors(
-    graph: EnvyRatioGraph,
-) -> tuple[EnvyRanks, list[int | None]]:
-    if _infinite_edge_cycle(graph) is not None:
-        raise ImprovingCycleExists(
-            "envy ranks are undefined: the graph has a cycle through an "
-            "infinite-ratio edge"
-        )
-    values, preds, probe = _relax_max_product(graph, include_infinite=True)
-    if probe is not None:
-        raise ImprovingCycleExists(
-            "envy ranks are undefined: relaxation still improving, the graph "
-            "admits an improving cycle"
-        )
-    return EnvyRanks(tuple(values)), preds
+    return _relax_max_product(graph)[0]
 
 
 def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
@@ -263,13 +206,7 @@ def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
     Returns [agent] alone when the empty path is maximal. Raises
     ImprovingCycleExists on graphs where ranks are undefined.
     """
-    _, preds = _ranks_with_predecessors(graph)
-    path = [agent]
-    cursor = preds[agent]
-    while cursor is not None:
-        path.append(cursor)
-        cursor = preds[cursor]
-    return path[::-1]
+    return _predecessor_path(_relax_max_product(graph)[1], agent)
 
 
 def topological_order(

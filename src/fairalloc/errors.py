@@ -20,6 +20,12 @@ class InstanceTooSmall(FairAllocError):
 class ImprovingCycleExists(FairAllocError):
     """Envy ranks are requested on a graph that still admits an improving cycle."""
 
+    def __init__(self, cycle: tuple[int, ...]) -> None:
+        super().__init__(
+            f"envy ranks are undefined: the cycle {cycle} has weight product above 1"
+        )
+        self.cycle = cycle
+
 
 class CyclicEnvyGraph(FairAllocError):
     """A topological order is requested but the strict envy graph has a cycle."""

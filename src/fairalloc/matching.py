@@ -4,12 +4,18 @@ The matching runs in two phases. A floating-point warm start solves
 maximum-weight bipartite matching on log values (zero values get a sentinel
 weight low enough that assignments are ranked first by how many agents end
 up with a positive value). An exact repair loop then fixes anything the
-floats got wrong: it rotates matched items along improving cycles and pulls
-in unallocated items along maximum-product paths until the two properties
-every later step relies on hold exactly:
+floats got wrong. Every iteration is one certify-or-move step: a single
+max-product relaxation of the envy-ratio graph either certifies the two
+properties every later step relies on,
 
   * the envy-ratio graph admits no improving cycle, and
-  * rank_i * v_i(b) <= v_i(own bundle) for every agent i and remaining b.
+  * rank_i * v_i(b) <= v_i(own bundle) for every agent i and remaining b,
+
+and returns the envy ranks, or it yields the repair move: a rotation of the
+matched items along the improving cycle it found, or, for the smallest
+(agent, pool item) breaking the second clause, a path move along the
+agent's maximum-product path that pulls the item in. `verify_nsw_certificate`
+is the same step run once on a given matching.
 
 Each repair move strictly increases the lexicographic objective (number of
 agents with positive value, then the product of those values), so the loop
@@ -29,14 +35,13 @@ from scipy.optimize import linear_sum_assignment
 
 from .envy import (
     EnvyRanks,
-    _ranks_with_predecessors,
+    _predecessor_path,
+    _relax_max_product,
     build_envy_ratio_graph,
-    envy_ranks,
-    find_improving_cycle,
     product,
     rotate_bundles,
 )
-from .errors import InstanceTooSmall, InvalidAllocation
+from .errors import ImprovingCycleExists, InstanceTooSmall, InvalidAllocation
 from .model import Allocation, Instance, bundle_value, check_allocation
 
 Objective = tuple[int, Fraction]
@@ -113,6 +118,22 @@ def _find_pool_violation(
     return None
 
 
+def _certify_or_move(
+    instance: Instance, allocation: Allocation
+) -> EnvyRanks | Allocation:
+    """The certified envy ranks, or the repair loop's next allocation."""
+    graph = build_envy_ratio_graph(instance, allocation)
+    try:
+        ranks, preds = _relax_max_product(graph)
+    except ImprovingCycleExists as found:
+        return rotate_bundles(allocation, found.cycle)
+    violation = _find_pool_violation(instance, allocation, ranks)
+    if violation is None:
+        return ranks
+    agent, item = violation
+    return _apply_path_move(allocation, _predecessor_path(preds, agent), item)
+
+
 def nsw_matching(instance: Instance) -> NswMatchingResult:
     """Certified one-item-per-agent allocation (see module docstring)."""
     if instance.item_count < instance.agent_count:
@@ -121,30 +142,13 @@ def nsw_matching(instance: Instance) -> NswMatchingResult:
         )
     allocation = _warm_start(instance)
     while True:
-        graph = build_envy_ratio_graph(instance, allocation)
-        cycle = find_improving_cycle(graph)
-        if cycle is not None:
-            before = lexicographic_objective(instance, allocation)
-            allocation = rotate_bundles(allocation, cycle)
-            after = lexicographic_objective(instance, allocation)
-            assert after > before, "cycle rotation must improve the objective"
-            continue
-        ranks, preds = _ranks_with_predecessors(graph)
-        violation = _find_pool_violation(instance, allocation, ranks)
-        if violation is None:
-            break
-        agent, item = violation
-        path = [agent]
-        cursor = preds[agent]
-        while cursor is not None:
-            path.append(cursor)
-            cursor = preds[cursor]
-        path.reverse()
+        step = _certify_or_move(instance, allocation)
+        if isinstance(step, EnvyRanks):
+            return NswMatchingResult(allocation, step)
         before = lexicographic_objective(instance, allocation)
-        allocation = _apply_path_move(allocation, path, item)
-        after = lexicographic_objective(instance, allocation)
-        assert after > before, "pool reallocation must improve the objective"
-    return NswMatchingResult(allocation, ranks)
+        after = lexicographic_objective(instance, step)
+        assert after > before, "a repair move must improve the objective"
+        allocation = step
 
 
 def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
@@ -152,8 +156,4 @@ def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
     check_allocation(instance, allocation)
     if any(len(bundle) != 1 for bundle in allocation.bundles):
         raise InvalidAllocation("certificate verification needs one item per agent")
-    graph = build_envy_ratio_graph(instance, allocation)
-    if find_improving_cycle(graph) is not None:
-        return False
-    ranks = envy_ranks(graph)
-    return _find_pool_violation(instance, allocation, ranks) is None
+    return isinstance(_certify_or_move(instance, allocation), EnvyRanks)

@@ -121,7 +121,13 @@ class TestImprovingCycles:
                 found += 1
                 assert len(set(mine)) == len(mine)
                 assert product(cycle_weights(graph, mine)) > 1
-            assert (mine is None) == (oracle_improving_cycle(graph) is None)
+            oracle = oracle_improving_cycle(graph)
+            assert (mine is None) == (oracle is None)
+            if oracle is None:
+                envy_ranks(graph)
+            else:
+                with pytest.raises(ImprovingCycleExists):
+                    envy_ranks(graph)
         assert found > 10  # the sample genuinely exercises both outcomes
 
 
@@ -139,18 +145,32 @@ class TestEnvyRanks:
 
     def test_requires_no_improving_cycle(self, four_by_four, identity_allocation):
         graph = build_envy_ratio_graph(four_by_four, identity_allocation)
-        with pytest.raises(ImprovingCycleExists):
+        with pytest.raises(ImprovingCycleExists, match=r"\(0, 2, 1\)") as raised:
             envy_ranks(graph)
+        assert raised.value.cycle == (0, 2, 1)
         # the enumeration oracle still answers: rank 3 via the path 2 -> 1 -> 0
         assert oracle_envy_rank(graph, 0) == 3
 
     def test_rejects_infinite_edge_cycles_too(self):
-        # both ratio directions saturate to 'infinite beats nothing' in one
-        # relaxation round, so the cycle must be caught by reachability
+        # the cycle's weight inf * 5/3 is the pair (1, 5/3), above (0, 1)
         instance = Instance.from_rows([[0, 7], [5, 3]])
         graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1]], 2))
         with pytest.raises(ImprovingCycleExists):
             envy_ranks(graph)
+
+    def test_rejects_finite_cycles_among_infinite_ranks(self):
+        # Agent 2 values its own item at 0, so it reaches both other agents
+        # through an infinite edge and their ranks are infinite; the finite
+        # cycle 0 -> 1 -> 0 of product 4 must still be seen.
+        instance = Instance.from_rows([[1, 2, 0], [2, 1, 0], [1, 1, 0]])
+        graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1], [2]], 3))
+        assert find_improving_cycle(graph) == (0, 1)
+        assert product(cycle_weights(graph, (0, 1))) == 4
+        assert oracle_improving_cycle(graph) is not None
+        with pytest.raises(ImprovingCycleExists, match=r"\(0, 1\)"):
+            envy_ranks(graph)
+        with pytest.raises(ImprovingCycleExists):
+            max_product_path(graph, 0)
 
     def test_matches_oracle_on_cycle_free_graphs(self):
         rng = random.Random(555)
