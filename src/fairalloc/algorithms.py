@@ -30,13 +30,15 @@ valid inputs always means an implementation defect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .envy import (
     Cycle,
     EnvyRanks,
-    find_envy_cycle,
+    envy_cycle_in,
+    find_envy_cycle,  # noqa: F401 -- perfbench/spans.py times this binding
     rotate_bundles,
     strict_envy_edges,
     topological_order,
@@ -51,6 +53,7 @@ from .model import (
     Threshold,
     _comparison_denominator,
     bundle_value,
+    check_allocation,
     compare_scaled,
     fairness_factor,
     is_infinite,
@@ -283,11 +286,33 @@ def envy_cycle_elimination(
     Until the pool is empty: rotate bundles along strict-envy cycles until
     the envy graph is acyclic (each rotation strictly shrinks the edge
     set), then let the smallest-index unenvied agent pick its best
-    remaining item. With `running_check` set, the stated factor is
-    re-verified exactly after every rotation and every pick.
+    remaining item, smallest index on ties.
+
+    The envy graph is read from one integer matrix values[i][j] = v_i(B_j),
+    built once and then updated in place: a pick adds w_i(item) to column
+    `source` of every row i, and a rotation permutes the cycle's columns as
+    `rotate_bundles` moves its bundles. Row i is v_i scaled by the LCM of
+    that row's denominators. The procedure only ever compares entries of
+    one row with each other (values[i][j] > values[i][i], and the source's
+    best pool item), so each row may carry its own positive factor, and the
+    integers stay small when denominators vary from agent to agent.
+
+    With `running_check` set, the stated factor is re-verified after every
+    rotation and every pick from the instance itself, in `Fraction`s, so a
+    wrong matrix update cannot certify itself.
     """
     if trace is None:
         trace = []
+    check_allocation(instance, allocation)
+    pool = sorted(allocation.remaining)
+    if not pool:  # refinement often empties it: build no matrix then
+        return allocation
+    weights: list[list[int]] = []
+    for row in instance.valuations:
+        scale = math.lcm(*(v.denominator for v in row))
+        weights.append([v.numerator * (scale // v.denominator) for v in row])
+    values = [[sum(row[g] for g in bundle) for bundle in allocation.bundles] for row in weights]
+    agents = range(instance.agent_count)
 
     def check_running(tag: str) -> None:
         if running_check is None:
@@ -298,15 +323,22 @@ def envy_cycle_elimination(
         if not passed:
             raise InternalGuaranteeViolated(f"completion-factor after {tag}")
 
-    while allocation.remaining:
-        while (cycle := find_envy_cycle(instance, allocation)) is not None:
+    while pool:
+        while (cycle := envy_cycle_in(values)) is not None:
             allocation = rotate_bundles(allocation, cycle)
+            successors = cycle[1:] + cycle[:1]
+            for row in values:
+                for agent, value in zip(cycle, [row[j] for j in successors]):
+                    row[agent] = value
             trace.append(CycleRotated(cycle))
             check_running("rotation")
-        envied = {j for (_, j) in strict_envy_edges(instance, allocation)}
-        source = min(set(range(instance.agent_count)) - envied)
-        item = _best_remaining_item(instance, allocation, source)
-        assert item is not None
+        source = next(
+            j for j in agents if all(values[i][j] <= values[i][i] for i in agents)
+        )
+        item = max(pool, key=weights[source].__getitem__)  # first maximum: smallest index
+        pool.remove(item)
+        for weight_row, value_row in zip(weights, values):
+            value_row[source] += weight_row[item]
         allocation = allocation.with_item(source, item)
         trace.append(SourcePick(source, item))
         check_running("pick")

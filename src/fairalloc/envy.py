@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CyclicEnvyGraph, ImprovingCycleExists, InvalidAllocation
 from .model import (
@@ -91,13 +91,19 @@ def _canonical(cycle: list[int]) -> Cycle:
     return tuple(cycle[start:] + cycle[:start])
 
 
-def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
+def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[Fraction]]:
+    """values[i][j] = v_i(bundle_j), exactly, once the allocation fits."""
     check_allocation(instance, allocation)
     n = instance.agent_count
-    values = [
+    return [
         [bundle_value(instance, i, allocation.bundles[j]) for j in range(n)]
         for i in range(n)
     ]
+
+
+def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
+    n = instance.agent_count
+    values = _value_matrix(instance, allocation)
     weights: dict[tuple[int, int], ExtendedRational] = {}
     for i in range(n):
         for j in range(n):
@@ -240,12 +246,8 @@ def topological_order(
 
 def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[int, int]]:
     """Pairs (i, j) where i strictly prefers j's bundle to its own."""
-    check_allocation(instance, allocation)
     n = instance.agent_count
-    values = [
-        [bundle_value(instance, i, allocation.bundles[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    values = _value_matrix(instance, allocation)
     return {
         (i, j)
         for i in range(n)
@@ -257,14 +259,26 @@ def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[i
 def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
     """Some directed cycle of strict envy, or None if the envy graph is acyclic.
 
-    Depth-first search starting from the smallest agent index, visiting
-    neighbours in ascending order. The search keeps its own stack, so the
-    length of an envy chain is not bounded by the recursion limit.
+    Builds the exact value matrix of the allocation and searches it with
+    `envy_cycle_in`.
     """
-    n = instance.agent_count
-    successors: list[list[int]] = [[] for _ in range(n)]
-    for i, j in sorted(strict_envy_edges(instance, allocation)):
-        successors[i].append(j)
+    return envy_cycle_in(_value_matrix(instance, allocation))
+
+
+def envy_cycle_in(values: Sequence[Sequence[Fraction | int]]) -> Cycle | None:
+    """The strict-envy cycle search on a value matrix values[i][j] = v_i(B_j).
+
+    Agent i envies j when values[i][j] > values[i][i]. A row is only ever
+    compared within itself, so each row may be scaled by its own positive
+    factor. Depth-first search starting from the smallest agent index,
+    visiting neighbours in ascending order. The search keeps its own stack,
+    so the length of an envy chain is not bounded by the recursion limit.
+    """
+    n = len(values)
+    successors = [
+        [j for j, value in enumerate(row) if j != i and value > row[i]]
+        for i, row in enumerate(values)
+    ]
 
     color = [0] * n  # 0 new, 1 open, 2 done
     for start in range(n):

@@ -107,10 +107,17 @@ def _apply_path_move(
 def _find_pool_violation(
     instance: Instance, allocation: Allocation, ranks: EnvyRanks
 ) -> tuple[int, int] | None:
-    """Smallest (agent, remaining item) with rank * value > own value."""
+    """Smallest (agent, remaining item) with rank * value > own value.
+
+    An agent's items are scanned only when its best pool value breaks the
+    bound: rank * value grows with value, so otherwise none of them does.
+    """
     pool = sorted(allocation.remaining)
     for agent in range(instance.agent_count):
         own = bundle_value(instance, agent, allocation.bundles[agent])
+        best = max((instance.value(agent, item) for item in pool), default=0)
+        if product([ranks[agent], best]) <= own:
+            continue
         for item in pool:
             value = instance.value(agent, item)
             if value > 0 and product([ranks[agent], value]) > own:

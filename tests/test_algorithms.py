@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairalloc import (
     GOLDEN_RATIO_MINUS_ONE,
@@ -20,18 +21,33 @@ from fairalloc import (
     bundle_value,
     envy_cycle_elimination,
     fairness_factor,
+    find_envy_cycle,
     meets_threshold,
     nsw_matching,
     partition_groups,
     refine_step2,
     replay_trace,
+    rotate_bundles,
     solve_efr,
     solve_efx,
+    strict_envy_edges,
     verify_nsw_certificate,
 )
-from fairalloc.algorithms import AgentGroups, GroupsAssigned
+from fairalloc.algorithms import (
+    AgentGroups,
+    CycleRotated,
+    GroupsAssigned,
+    SourcePick,
+    _best_remaining_item,
+)
 from fairalloc.envy import EnvyRanks
-from fairalloc.files import allocation_to_json, random_instances, trace_to_lines
+from fairalloc.files import (
+    GenSpec,
+    allocation_to_json,
+    generate_instance,
+    random_instances,
+    trace_to_lines,
+)
 from fairalloc.matching import lexicographic_objective
 from fairalloc.oracle import oracle_nsw_matching
 
@@ -154,6 +170,83 @@ class TestEnvyCycleElimination:
             assert final.is_complete
 
 
+def reference_completion(instance, allocation):
+    """Envy-cycle elimination that rebuilds the exact Fraction envy graph
+    through the public envy API at every step."""
+    trace = []
+    while allocation.remaining:
+        while (cycle := find_envy_cycle(instance, allocation)) is not None:
+            allocation = rotate_bundles(allocation, cycle)
+            trace.append(CycleRotated(cycle))
+        envied = {j for (_, j) in strict_envy_edges(instance, allocation)}
+        source = min(set(range(instance.agent_count)) - envied)
+        item = _best_remaining_item(instance, allocation, source)
+        allocation = allocation.with_item(source, item)
+        trace.append(SourcePick(source, item))
+    return allocation, trace
+
+
+pq_values = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(1, 60), st.integers(1, 12))
+)
+factors = st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000))
+
+
+@st.composite
+def completion_starts(draw):
+    """A p/q instance with zeros, plus a one-item-per-agent start."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(n, 12))
+    rows = [[draw(pq_values) for _ in range(m)] for _ in range(n)]
+    items = draw(st.permutations(range(m)))[:n]
+    return Instance.from_rows(rows), Allocation.of([[item] for item in items], m)
+
+
+def completed(instance, start):
+    trace = []
+    return envy_cycle_elimination(instance, start, trace), trace
+
+
+class TestCompletionAgainstReference:
+    def test_matches_the_reference_completion(self):
+        rng = random.Random(11)
+        rotations = 0
+        for _ in range(80):
+            n = rng.randint(3, 12)
+            m = rng.randint(n, 3 * n)
+            instance = Instance.from_rows(
+                [
+                    [
+                        0 if rng.random() < 0.15
+                        else Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                        for _ in range(m)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            start = Allocation.of([[item] for item in rng.sample(range(m), n)], m)
+            expected = reference_completion(instance, start)
+            assert completed(instance, start) == expected
+            rotations += sum(isinstance(e, CycleRotated) for e in expected[1])
+        assert rotations > 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(completion_starts(), factors)
+    def test_scaling_all_valuations_changes_nothing(self, case, c):
+        instance, start = case
+        scaled = Instance(tuple(tuple(v * c for v in row) for row in instance.valuations))
+        assert completed(scaled, start) == completed(instance, start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(completion_starts(), st.lists(factors, min_size=6, max_size=6))
+    def test_scaling_each_agent_changes_nothing(self, case, cs):
+        instance, start = case
+        scaled = Instance(
+            tuple(tuple(v * c for v in row) for row, c in zip(instance.valuations, cs))
+        )
+        assert completed(scaled, start) == completed(instance, start)
+
+
 class TestSolvers:
     def test_single_agent_gets_everything(self):
         instance = Instance.from_rows([[3, 0, 7]])
@@ -242,6 +335,14 @@ class TestSolvers:
                 assert [
                     e for e in checked_trace if not isinstance(e, InvariantChecked)
                 ] == unchecked_trace
+
+    def test_efx_at_160_agents_without_checks(self):
+        instance = generate_instance(GenSpec(160, 480, 0, 100, Fraction(1, 10), 1))
+        allocation, _ = solve_efx(instance, check=False)
+        assert allocation.is_complete
+        assert meets_threshold(
+            fairness_factor(instance, allocation, EFX), GOLDEN_RATIO_MINUS_ONE
+        )
 
     def test_bundle_sizes_by_group_when_pool_is_ample(self):
         """With m >= 3n the pool cannot run dry during refinement, so the

@@ -23,7 +23,7 @@ from fairalloc import (
     strict_envy_edges,
     topological_order,
 )
-from fairalloc.envy import cycle_weights, product
+from fairalloc.envy import cycle_weights, envy_cycle_in, product
 from fairalloc.oracle import oracle_envy_rank, oracle_improving_cycle
 
 
@@ -290,6 +290,18 @@ class TestEnvyCycles:
             assert find_envy_cycle(instance, allocation) == tuple(range(n))
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_matrix_search_over_a_2000_agent_chain(self):
+        # The chain is longer than the default recursion limit allows a
+        # recursive search to walk; only the back edge closes a cycle.
+        n = 2000
+        assert sys.getrecursionlimit() < n
+        values = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            values[i][i], values[i][i + 1] = 1, 2
+        assert envy_cycle_in(values) is None
+        values[n - 1][n - 1], values[n - 1][0] = 1, 2
+        assert envy_cycle_in(values) == tuple(range(n))
 
 
 class TestRotation:
