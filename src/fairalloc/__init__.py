@@ -29,7 +29,6 @@ from .envy import (
     EnvyRanks,
     EnvyRatioGraph,
     build_envy_ratio_graph,
-    envy_edges,
     envy_ranks,
     find_envy_cycle,
     find_improving_cycle,

@@ -30,13 +30,12 @@ valid inputs always means an implementation defect.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .envy import (
     Cycle,
     EnvyRanks,
+    _value_matrix,
     envy_cycle_in,
     find_envy_cycle,  # noqa: F401 -- perfbench/spans.py times this binding
     rotate_bundles,
@@ -222,19 +221,6 @@ class RefinementState:
     order: tuple[int, ...]
 
 
-def _best_remaining_item(
-    instance: Instance, allocation: Allocation, agent: int
-) -> int | None:
-    """The agent's most valuable remaining item, smallest index on ties."""
-    best: int | None = None
-    best_value: Fraction | None = None
-    for item in sorted(allocation.remaining):
-        value = instance.value(agent, item)
-        if best_value is None or value > best_value:
-            best, best_value = item, value
-    return best
-
-
 def _pick_pass(
     instance: Instance,
     allocation: Allocation,
@@ -246,7 +232,9 @@ def _pick_pass(
     for agent in order:
         if agent not in members:
             continue
-        item = _best_remaining_item(instance, allocation, agent)
+        # the first maximum: smallest index on ties
+        row = instance.scaled_rows[agent]
+        item = max(sorted(allocation.remaining), key=row.__getitem__, default=None)
         if item is None:
             break  # pool exhausted: remaining picks are skipped
         allocation = allocation.with_item(agent, item)
@@ -289,13 +277,12 @@ def envy_cycle_elimination(
     remaining item, smallest index on ties.
 
     The envy graph is read from one integer matrix values[i][j] = v_i(B_j),
-    built once and then updated in place: a pick adds w_i(item) to column
-    `source` of every row i, and a rotation permutes the cycle's columns as
-    `rotate_bundles` moves its bundles. Row i is v_i scaled by the LCM of
-    that row's denominators. The procedure only ever compares entries of
-    one row with each other (values[i][j] > values[i][i], and the source's
-    best pool item), so each row may carry its own positive factor, and the
-    integers stay small when denominators vary from agent to agent.
+    summed once on the rows of `Instance.scaled_rows` and then updated in
+    place: a pick adds the picked item's entry of row i to column `source`
+    of every row i, and a rotation permutes the cycle's columns as
+    `rotate_bundles` moves its bundles. The procedure only ever compares
+    entries of one row with each other (values[i][j] > values[i][i], and
+    the source's best pool item), so each row's own scale cancels.
 
     With `running_check` set, the stated factor is re-verified after every
     rotation and every pick from the instance itself, in `Fraction`s, so a
@@ -307,11 +294,8 @@ def envy_cycle_elimination(
     pool = sorted(allocation.remaining)
     if not pool:  # refinement often empties it: build no matrix then
         return allocation
-    weights: list[list[int]] = []
-    for row in instance.valuations:
-        scale = math.lcm(*(v.denominator for v in row))
-        weights.append([v.numerator * (scale // v.denominator) for v in row])
-    values = [[sum(row[g] for g in bundle) for bundle in allocation.bundles] for row in weights]
+    rows = instance.scaled_rows
+    values = _value_matrix(instance, allocation)
     agents = range(instance.agent_count)
 
     def check_running(tag: str) -> None:
@@ -335,10 +319,10 @@ def envy_cycle_elimination(
         source = next(
             j for j in agents if all(values[i][j] <= values[i][i] for i in agents)
         )
-        item = max(pool, key=weights[source].__getitem__)  # first maximum: smallest index
+        item = max(pool, key=rows[source].__getitem__)  # first maximum: smallest index
         pool.remove(item)
-        for weight_row, value_row in zip(weights, values):
-            value_row[source] += weight_row[item]
+        for row, value_row in zip(rows, values):
+            value_row[source] += row[item]
         allocation = allocation.with_item(source, item)
         trace.append(SourcePick(source, item))
         check_running("pick")
@@ -358,7 +342,7 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
     """Exact per-group guarantees at the end of the refinement step."""
     allocation, groups = state.allocation, state.groups
     mode, spec = groups.mode, MODES[groups.mode]
-    n = instance.agent_count
+    n, rows = instance.agent_count, instance.valuations
     own = [bundle_value(instance, i, allocation.bundles[i]) for i in range(n)]
     for k, (members, factor) in enumerate(zip(groups.members, spec.factors)):
         _check(
@@ -368,7 +352,7 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
                 compare_scaled(
                     own[i],
                     factor,
-                    _comparison_denominator(instance, i, allocation.bundles[j], mode),
+                    _comparison_denominator(rows[i], allocation.bundles[j], mode),
                 )
                 >= 0
                 for i in members
@@ -387,7 +371,7 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
         trace,
         "refine-remaining-bounds",
         all(
-            compare_scaled(own[i], bound, instance.value(i, item)) >= 0
+            compare_scaled(own[i], bound, rows[i][item]) >= 0
             for members, bound in zip(groups.members, spec.pool_bounds)
             for i in members
             for item in pool

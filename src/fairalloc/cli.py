@@ -65,14 +65,13 @@ def _format_factor(factor) -> str:
 
 
 def _parse_threshold(raw: str) -> Threshold | Fraction:
-    if raw == "sqrt3-1":
-        return Threshold.SQRT3_MINUS_ONE
-    if raw == "phi-1":
-        return Threshold.GOLDEN_RATIO_MINUS_ONE
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FairAllocError(f"bad threshold {raw!r}: {exc}") from exc
+        return Threshold(raw)
+    except ValueError:
+        try:
+            return Fraction(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FairAllocError(f"bad threshold {raw!r}: {exc}") from exc
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

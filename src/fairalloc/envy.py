@@ -4,6 +4,9 @@ The envy-ratio graph of an allocation is the complete weighted digraph with
 w[i][j] = v_i(bundle_j) / v_i(bundle_i). Agents with zero own-bundle value
 get w = inf toward bundles they value positively and w = 0 otherwise, which
 keeps every downstream comparison total. Diagonal entries are not defined.
+Bundle values are summed on `Instance.scaled_rows`, exact integers with one
+positive factor per agent: every question asked here (a ratio, strict envy)
+compares values of one agent with each other, so the factor cancels.
 
 `product` multiplies weights exactly: a 0 weight absorbs everything (a path
 or cycle through it can never beat the empty path), and inf dominates any
@@ -28,7 +31,7 @@ from .model import (
     Allocation,
     ExtendedRational,
     Instance,
-    bundle_value,
+    bundle_value,  # noqa: F401 -- perfbench/spans.py counts this binding
     check_allocation,
     is_infinite,
 )
@@ -91,13 +94,12 @@ def _canonical(cycle: list[int]) -> Cycle:
     return tuple(cycle[start:] + cycle[:start])
 
 
-def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[Fraction]]:
-    """values[i][j] = v_i(bundle_j), exactly, once the allocation fits."""
+def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]:
+    """values[i][j] = v_i(bundle_j) on agent i's scaled row, exactly."""
     check_allocation(instance, allocation)
-    n = instance.agent_count
     return [
-        [bundle_value(instance, i, allocation.bundles[j]) for j in range(n)]
-        for i in range(n)
+        [sum(row[g] for g in bundle) for bundle in allocation.bundles]
+        for row in instance.scaled_rows
     ]
 
 
@@ -113,13 +115,8 @@ def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRa
             if own == 0:
                 weights[(i, j)] = INF if other > 0 else Fraction(0)
             else:
-                weights[(i, j)] = other / own
+                weights[(i, j)] = Fraction(other, own)
     return EnvyRatioGraph(n, weights)
-
-
-def envy_edges(graph: EnvyRatioGraph) -> frozenset[tuple[int, int]]:
-    """Ordered pairs with ratio strictly above 1 (inf counts)."""
-    return frozenset((i, j) for (i, j) in graph.pairs() if graph.weight(i, j) > 1)
 
 
 def _order_value(weight: ExtendedRational) -> OrderValue:
@@ -259,8 +256,8 @@ def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[i
 def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
     """Some directed cycle of strict envy, or None if the envy graph is acyclic.
 
-    Builds the exact value matrix of the allocation and searches it with
-    `envy_cycle_in`.
+    Sums the allocation's bundles on the integer rows of
+    `Instance.scaled_rows` and searches that matrix with `envy_cycle_in`.
     """
     return envy_cycle_in(_value_matrix(instance, allocation))
 

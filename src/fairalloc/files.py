@@ -132,21 +132,29 @@ def allocation_from_json(text: str, instance: Instance) -> Allocation:
     if not isinstance(doc, dict) or "bundles" not in doc:
         raise InvalidAllocation("allocation file needs a 'bundles' field")
     bundles = doc["bundles"]
-    if not isinstance(bundles, list) or not all(isinstance(b, list) for b in bundles):
+    if not isinstance(bundles, list):
         raise InvalidAllocation("'bundles' must be a list of item-index lists")
-    for bundle in bundles:
-        for item in bundle:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise InvalidAllocation(f"item index {item!r} is not an integer")
-    allocation = Allocation.of(bundles, instance.item_count)
+    allocation = Allocation.of(
+        (_item_indices(bundle, "a bundle") for bundle in bundles), instance.item_count
+    )
     if allocation.agent_count != instance.agent_count:
         raise InvalidAllocation(
             f"{allocation.agent_count} bundles for {instance.agent_count} agents"
         )
     declared = doc.get("remaining")
-    if declared is not None and sorted(declared) != sorted(allocation.remaining):
-        raise InvalidAllocation("'remaining' disagrees with the bundles")
+    if declared is not None:
+        if sorted(_item_indices(declared, "'remaining'")) != sorted(allocation.remaining):
+            raise InvalidAllocation("'remaining' disagrees with the bundles")
     return allocation
+
+
+def _item_indices(raw: object, what: str) -> list[int]:
+    """A JSON list of distinct integer item indices, or InvalidAllocation."""
+    if not isinstance(raw, list) or not all(type(item) is int for item in raw):
+        raise InvalidAllocation(f"{what} must be a list of integer item indices: {raw!r}")
+    if len(set(raw)) != len(raw):
+        raise InvalidAllocation(f"{what} repeats an item: {raw!r}")
+    return raw
 
 
 # --- Trace files -------------------------------------------------------------

@@ -8,6 +8,7 @@ All arithmetic is exact. Valuations are non-negative rationals
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,6 +121,17 @@ class Instance:
     def item_count(self) -> int:
         return len(self.valuations[0])
 
+    @functools.cached_property
+    def scaled_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each agent's row times the LCM of its denominators, as ints. The
+        solvers' decisions read these; one positive factor per row changes
+        none of them, since each compares values of one agent only."""
+        scales = [math.lcm(*(v.denominator for v in row)) for row in self.valuations]
+        return tuple(
+            tuple(v.numerator * (scale // v.denominator) for v in row)
+            for row, scale in zip(self.valuations, scales)
+        )
+
     def value(self, agent: int, item: int) -> Fraction:
         if not 0 <= agent < self.agent_count:
             raise IndexError(f"agent {agent} out of range")
@@ -204,12 +216,9 @@ def removal_expectation(
     k-item bundle. Bundles with fewer than two items yield 0: removing the
     only item (or removing from nothing) leaves nothing behind.
     """
-    items = set(bundle)
-    k = len(items)
-    if k <= 1:
-        bundle_value(instance, observer, items)  # still range-check
-        return Fraction(0)
-    return Fraction(k - 1, k) * bundle_value(instance, observer, items)
+    items = frozenset(bundle)
+    bundle_value(instance, observer, items)  # range-check
+    return _comparison_denominator(instance.valuations[observer], items, FairnessNotion.EFR)
 
 
 @dataclass(frozen=True)
@@ -228,24 +237,25 @@ class FairnessReport:
 
 
 def _comparison_denominator(
-    instance: Instance, envier: int, rival_bundle: frozenset[int], notion: FairnessNotion
+    row: tuple[Fraction, ...], rival_bundle: frozenset[int], notion: FairnessNotion
 ) -> Fraction:
     """The rival-bundle quantity the envier's own value is measured against.
 
-    Every notion but EF removes an item first, so a singleton leaves 0.
+    `row` is the envier's valuation row, read once per rival item. Every
+    notion but EF removes an item first, so a singleton leaves 0.
     """
     if not rival_bundle or (len(rival_bundle) == 1 and notion is not FairnessNotion.EF):
         return Fraction(0)
-    total = bundle_value(instance, envier, rival_bundle)
+    per_item = [row[b] for b in rival_bundle]
+    total = sum(per_item, Fraction(0))
     if notion is FairnessNotion.EF:
         return total
-    per_item = [instance.value(envier, b) for b in rival_bundle]
     if notion is FairnessNotion.EF1:
         return total - max(per_item)
     if notion is FairnessNotion.EFX:
         return total - min(per_item)
     if notion is FairnessNotion.EFR:
-        return removal_expectation(instance, envier, rival_bundle)
+        return Fraction(len(per_item) - 1, len(per_item)) * total
     raise ValueError(f"unknown notion {notion!r}")
 
 
@@ -264,11 +274,11 @@ def fairness_factor(
     own = [bundle_value(instance, i, allocation.bundles[i]) for i in range(n)]
     best: Fraction | None = None
     witness: tuple[int, int] | None = None
-    for i in range(n):
+    for i, row in enumerate(instance.valuations):
         for j in range(n):
             if i == j:
                 continue
-            denom = _comparison_denominator(instance, i, allocation.bundles[j], notion)
+            denom = _comparison_denominator(row, allocation.bundles[j], notion)
             if denom == 0:
                 continue
             ratio = own[i] / denom

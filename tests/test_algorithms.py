@@ -21,7 +21,6 @@ from fairalloc import (
     bundle_value,
     envy_cycle_elimination,
     fairness_factor,
-    find_envy_cycle,
     meets_threshold,
     nsw_matching,
     partition_groups,
@@ -30,7 +29,6 @@ from fairalloc import (
     rotate_bundles,
     solve_efr,
     solve_efx,
-    strict_envy_edges,
     verify_nsw_certificate,
 )
 from fairalloc.algorithms import (
@@ -38,9 +36,8 @@ from fairalloc.algorithms import (
     CycleRotated,
     GroupsAssigned,
     SourcePick,
-    _best_remaining_item,
 )
-from fairalloc.envy import EnvyRanks
+from fairalloc.envy import EnvyRanks, envy_cycle_in
 from fairalloc.files import (
     GenSpec,
     allocation_to_json,
@@ -170,17 +167,38 @@ class TestEnvyCycleElimination:
             assert final.is_complete
 
 
+def fraction_values(instance, allocation):
+    """values[i][j] = v_i(B_j) in Fractions, from `bundle_value`."""
+    return [
+        [bundle_value(instance, i, bundle) for bundle in allocation.bundles]
+        for i in range(instance.agent_count)
+    ]
+
+
+def best_remaining_item(instance, allocation, agent):
+    """The agent's most valuable remaining item, smallest index on ties."""
+    best, best_value = None, None
+    for item in sorted(allocation.remaining):
+        value = instance.value(agent, item)
+        if best_value is None or value > best_value:
+            best, best_value = item, value
+    return best
+
+
 def reference_completion(instance, allocation):
-    """Envy-cycle elimination that rebuilds the exact Fraction envy graph
-    through the public envy API at every step."""
+    """Envy-cycle elimination that rebuilds the exact Fraction value matrix
+    from the instance at every step, reading no `scaled_rows`."""
     trace = []
     while allocation.remaining:
-        while (cycle := find_envy_cycle(instance, allocation)) is not None:
+        while (cycle := envy_cycle_in(fraction_values(instance, allocation))) is not None:
             allocation = rotate_bundles(allocation, cycle)
             trace.append(CycleRotated(cycle))
-        envied = {j for (_, j) in strict_envy_edges(instance, allocation)}
+        values = fraction_values(instance, allocation)
+        envied = {
+            j for i, row in enumerate(values) for j, value in enumerate(row) if value > row[i]
+        }
         source = min(set(range(instance.agent_count)) - envied)
-        item = _best_remaining_item(instance, allocation, source)
+        item = best_remaining_item(instance, allocation, source)
         allocation = allocation.with_item(source, item)
         trace.append(SourcePick(source, item))
     return allocation, trace
@@ -245,6 +263,34 @@ class TestCompletionAgainstReference:
             tuple(tuple(v * c for v in row) for row, c in zip(instance.valuations, cs))
         )
         assert completed(scaled, start) == completed(instance, start)
+
+
+def run_bytes(run):
+    allocation, trace = run
+    return allocation_to_json(allocation) + trace_to_lines(trace)
+
+
+class TestScalingThroughThePipeline:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        completion_starts(),
+        st.one_of(factors.map(lambda c: [c] * 6), st.lists(factors, min_size=6, max_size=6)),
+    )
+    def test_scaling_each_agent_changes_nothing(self, case, cs):
+        """Row i times c_i (one c for all rows included) leaves every ratio
+        and every within-row comparison as it was. The matching objective
+        compares agents, so per-row factors can reorder it: both runs start
+        from the unscaled run's matching."""
+        instance, _ = case
+        scaled = Instance(
+            tuple(tuple(v * c for v in row) for row, c in zip(instance.valuations, cs))
+        )
+        for solver in (solve_efr, solve_efx):
+            expected = solver(instance)
+            with pytest.MonkeyPatch.context() as patch:
+                start = expected[1][0].allocation
+                patch.setattr("fairalloc.matching._warm_start", lambda _: start)
+                assert run_bytes(solver(scaled)) == run_bytes(expected)
 
 
 class TestSolvers:

@@ -113,6 +113,42 @@ class TestVerify:
             "--notion", "efr", "--threshold", "0.9",
         ]) == 0
 
+    def test_golden_ratio_threshold(self, example_file, nsw_allocation_file, capsys):
+        code = main([
+            "verify", "--input", str(example_file),
+            "--allocation", str(nsw_allocation_file),
+            "--notion", "efx", "--threshold", "phi-1",
+        ])
+        assert code == 0
+        assert "threshold phi-1: met" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threshold", ["sqrt5-1", "1/0", ""])
+    def test_malformed_threshold_is_usage_error(
+        self, example_file, nsw_allocation_file, threshold, capsys
+    ):
+        code = main([
+            "verify", "--input", str(example_file),
+            "--allocation", str(nsw_allocation_file),
+            "--notion", "efr", "--threshold", threshold,
+        ])
+        assert code == 2
+        assert "bad threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document", ['{"bundles": [[0], [1]], "remaining": 5}', '{"bundles": [[0, 0], [1]]}']
+    )
+    def test_malformed_allocation_is_input_error(
+        self, tmp_path, example_file, document, capsys
+    ):
+        bad = tmp_path / "bad_alloc.json"
+        bad.write_text(document)
+        code = main([
+            "verify", "--input", str(example_file),
+            "--allocation", str(bad), "--notion", "efx",
+        ])
+        assert code == 2
+        assert "InvalidAllocation" in capsys.readouterr().err
+
     def test_out_of_range_allocation_is_input_error(self, tmp_path, example_file):
         bad = tmp_path / "bad_alloc.json"
         bad.write_text('{"bundles": [[0], [9]]}')

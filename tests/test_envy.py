@@ -14,7 +14,6 @@ from fairalloc import (
     InvalidAllocation,
     build_envy_ratio_graph,
     bundle_value,
-    envy_edges,
     envy_ranks,
     find_envy_cycle,
     find_improving_cycle,
@@ -68,19 +67,28 @@ class TestGraphConstruction:
 
 class TestEnvyEdges:
     def test_4x4_identity(self, four_by_four, identity_allocation):
-        graph = build_envy_ratio_graph(four_by_four, identity_allocation)
-        assert envy_edges(graph) == {(1, 0), (2, 1)}
+        assert strict_envy_edges(four_by_four, identity_allocation) == {(1, 0), (2, 1)}
 
     def test_no_strict_envy(self):
         instance = Instance.from_rows([[1, 1], [1, 1]])
-        graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1]], 2))
-        assert envy_edges(graph) == frozenset()
+        assert strict_envy_edges(instance, Allocation.of([[0], [1]], 2)) == set()
 
     def test_2x5_nsw_allocation(self, two_by_five):
-        graph = build_envy_ratio_graph(
-            two_by_five, Allocation.of([[0, 1, 2], [3, 4]], 5)
-        )
-        assert envy_edges(graph) == {(1, 0)}
+        allocation = Allocation.of([[0, 1, 2], [3, 4]], 5)
+        assert strict_envy_edges(two_by_five, allocation) == {(1, 0)}
+
+    def test_zero_own_value_envies_a_positive_rival_only(self):
+        instance = Instance.from_rows([[0, 5, 0], [1, 1, 0], [0, 0, 0]])
+        allocation = Allocation.of([[0], [1], [2]], 3)
+        assert strict_envy_edges(instance, allocation) == {(0, 1)}
+
+    def test_edges_are_the_ratios_above_one(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            instance, allocation = random_matching_graph(rng)
+            graph = build_envy_ratio_graph(instance, allocation)
+            expected = {pair for pair in graph.pairs() if graph.weight(*pair) > 1}
+            assert strict_envy_edges(instance, allocation) == expected
 
 
 class TestImprovingCycles:

@@ -75,6 +75,22 @@ class TestAllocationFiles:
         with pytest.raises(InvalidAllocation):
             allocation_from_json('{"bundles": [[0]]}', two_by_five)
 
+    @pytest.mark.parametrize("remaining", ["5", '[2, "a"]', "[2, true]", '"234"', "{}"])
+    def test_malformed_remaining_rejected(self, two_by_five, remaining):
+        with pytest.raises(InvalidAllocation):
+            allocation_from_json(
+                '{"bundles": [[0], [1]], "remaining": %s}' % remaining, two_by_five
+            )
+
+    @pytest.mark.parametrize("bundles", ["[[0, 0], [1]]", "[[0], [1, 2, 1]]"])
+    def test_repeated_item_in_a_bundle_rejected(self, two_by_five, bundles):
+        with pytest.raises(InvalidAllocation, match="repeats"):
+            allocation_from_json('{"bundles": %s}' % bundles, two_by_five)
+
+    def test_non_list_bundle_rejected(self, two_by_five):
+        with pytest.raises(InvalidAllocation):
+            allocation_from_json('{"bundles": [[0], 1]}', two_by_five)
+
 
 class TestTraceFiles:
     def test_round_trip_through_lines(self, four_by_four):

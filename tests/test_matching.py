@@ -9,10 +9,10 @@ from fairalloc import (
     InstanceTooSmall,
     InvalidAllocation,
     build_envy_ratio_graph,
-    envy_edges,
     envy_ranks,
     find_improving_cycle,
     nsw_matching,
+    strict_envy_edges,
     topological_order,
     verify_nsw_certificate,
 )
@@ -204,5 +204,5 @@ class TestMatchingProperties:
     def test_strict_envy_graph_is_acyclic(self):
         for _, instance in self.INSTANCES:
             result = nsw_matching(instance)
-            graph = build_envy_ratio_graph(instance, result.allocation)
-            topological_order(instance.agent_count, envy_edges(graph))  # must not raise
+            edges = strict_envy_edges(instance, result.allocation)
+            topological_order(instance.agent_count, edges)  # must not raise

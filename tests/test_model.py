@@ -23,7 +23,7 @@ from fairalloc import (
     removal_expectation,
 )
 from fairalloc.model import Surd, compare_scaled
-from fairalloc.oracle import oracle_removal_expectation
+from fairalloc.oracle import _notion_factor, oracle_removal_expectation
 
 
 class TestInstanceAndAllocation:
@@ -172,6 +172,31 @@ class TestFairnessFactor:
                 assert denom > 0
                 assert own / denom == report.factor
 
+    @pytest.mark.parametrize("family", ["p/q", "(10^40 + r)/7"])
+    def test_matches_the_oracle_on_rational_rows(self, family):
+        """Odd trials leave items in the pool; zeros come with both families."""
+        rng = random.Random(family)
+
+        def value():
+            if rng.random() < 0.2:
+                return Fraction(0)
+            if family == "p/q":
+                return Fraction(rng.randint(1, 60), rng.randint(1, 12))
+            return Fraction(10**40 + rng.randint(0, 1000), 7)
+
+        for trial in range(150):
+            n, m = rng.randint(2, 4), rng.randint(2, 7)
+            instance = Instance.from_rows([[value() for _ in range(m)] for _ in range(n)])
+            owners = range(-1 if trial % 2 else 0, n)  # -1 leaves the item unallocated
+            bundles = [[] for _ in range(n)]
+            for item in range(m):
+                if (owner := rng.choice(owners)) >= 0:
+                    bundles[owner].append(item)
+            alloc = Allocation.of(bundles, m)
+            for notion in FairnessNotion:
+                expected = _notion_factor(instance, alloc, notion)
+                assert fairness_factor(instance, alloc, notion).factor == expected
+
     def test_notion_ordering_on_random_allocations(self):
         """EF <= EFX <= EFR <= EF1, with an unbounded factor as top element."""
         rng = random.Random(4242)
@@ -213,6 +238,31 @@ class TestFairnessFactor:
             original = fairness_factor(Instance.from_rows(rows), alloc, notion)
             rescaled = fairness_factor(Instance.from_rows(scaled), alloc, notion)
             assert original == rescaled
+
+
+rational_values = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_denominator=10**6),
+    st.builds(lambda r, q: Fraction(10**40 + r, q), st.integers(0, 1000), st.integers(1, 99)),
+)
+
+
+class TestScaledRows:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda m: st.lists(
+                st.lists(rational_values, min_size=m, max_size=m), min_size=1, max_size=4
+            )
+        )
+    )
+    def test_each_row_is_a_positive_integer_multiple(self, rows):
+        instance = Instance.from_rows(rows)
+        assert len(instance.scaled_rows) == instance.agent_count
+        for scaled, row in zip(instance.scaled_rows, instance.valuations):
+            assert all(type(x) is int and x >= 0 for x in scaled)
+            assert [x == 0 for x in scaled] == [v == 0 for v in row]
+            for g, h in itertools.product(range(len(row)), repeat=2):
+                assert scaled[g] * row[h] == scaled[h] * row[g]
 
 
 class TestThresholds:
