@@ -50,7 +50,7 @@ from .model import (
     Instance,
     Surd,
     Threshold,
-    _comparison_denominator,
+    _own_ratios,
     bundle_value,
     check_allocation,
     compare_scaled,
@@ -339,25 +339,22 @@ def _check(trace: Trace, name: str, passed: bool) -> None:
 
 
 def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> None:
-    """Exact per-group guarantees at the end of the refinement step."""
+    """Exact per-group guarantees at the end of the refinement step.
+
+    A group's factor f holds when own >= f * D_ij against every rival; with
+    own / D_ij = num / den from `model._own_ratios` that is num >= f * den,
+    and a pair with D_ij = 0 holds for any f.
+    """
     allocation, groups = state.allocation, state.groups
     mode, spec = groups.mode, MODES[groups.mode]
-    n, rows = instance.agent_count, instance.valuations
-    own = [bundle_value(instance, i, allocation.bundles[i]) for i in range(n)]
+    rows = instance.valuations
     for k, (members, factor) in enumerate(zip(groups.members, spec.factors)):
         _check(
             trace,
             "refine-g1-full-fairness" if k == 0 else f"refine-g{k + 1}-factor",
             all(
-                compare_scaled(
-                    own[i],
-                    factor,
-                    _comparison_denominator(rows[i], allocation.bundles[j], mode),
-                )
-                >= 0
-                for i in members
-                for j in range(n)
-                if j != i
+                compare_scaled(num, factor, den) >= 0
+                for _, _, num, den in _own_ratios(instance, allocation, mode, members)
             ),
         )
     if spec.global_check:
@@ -366,15 +363,20 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
             "refine-global-factor",
             meets_threshold(fairness_factor(instance, allocation, mode), spec.threshold),
         )
-    pool = sorted(allocation.remaining)
+    pool = allocation.remaining
     _check(
         trace,
         "refine-remaining-bounds",
-        all(
-            compare_scaled(own[i], bound, rows[i][item]) >= 0
+        not pool
+        or all(  # own >= c * v for every pool item is own >= c * (the largest v)
+            compare_scaled(
+                bundle_value(instance, i, allocation.bundles[i]),
+                bound,
+                max(rows[i][item] for item in pool),
+            )
+            >= 0
             for members, bound in zip(groups.members, spec.pool_bounds)
             for i in members
-            for item in pool
         ),
     )
 

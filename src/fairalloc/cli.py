@@ -12,7 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .algorithms import MODES, replay_trace, solve_efr, solve_efx
+from .algorithms import MODES, solve_efr, solve_efx
 from .envy import build_envy_ratio_graph
 from .errors import FairAllocError, InternalGuaranteeViolated
 from .files import (

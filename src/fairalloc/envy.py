@@ -11,16 +11,22 @@ compares values of one agent with each other, so the factor cancels.
 `product` multiplies weights exactly: a 0 weight absorbs everything (a path
 or cycle through it can never beat the empty path), and inf dominates any
 positive product. The one max-product relaxation behind improving cycles,
-envy ranks and rank-attaining paths carries each positive weight as a pair
-(k, x) meaning inf**k * x, so a finite w is (0, w) and inf is (1, 1). Along
-a path the k parts add and the x parts multiply, and pairs compare
-lexicographically. A cycle through an infinite edge is then improving like
-any other, and a rank with k > 0 reads back as INF.
+envy ranks and rank-attaining paths runs on integers: each positive weight
+is an edge (i, j, k, num, den) meaning inf**k * num/den, so a finite
+other/own is (0, other, own) and inf is (1, 1, 1), and each agent's value is
+a triple (k, num, den) of the same form. Along a path the k parts add and
+the fractions multiply; values compare on k first, then by cross-multiplying
+the fractions. A cycle through an infinite edge is then improving like any
+other, and a rank with k > 0 reads back as INF. The matching reads its edges
+straight from the integer value matrix (`_value_edges`, which
+`build_envy_ratio_graph` also turns into weights); the public graph API
+converts a graph's weights back (`_graph_edges`).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -37,7 +43,7 @@ from .model import (
 )
 
 Cycle = tuple[int, ...]
-OrderValue = tuple[int, Fraction]  # (k, x) stands for inf**k * x
+Edge = tuple[int, int, int, int, int]  # (i, j, k, num, den): inf**k * num/den
 
 
 @dataclass(frozen=True)
@@ -105,60 +111,90 @@ def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]
 
 def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
     n = instance.agent_count
-    values = _value_matrix(instance, allocation)
-    weights: dict[tuple[int, int], ExtendedRational] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            own, other = values[i][i], values[i][j]
-            if own == 0:
-                weights[(i, j)] = INF if other > 0 else Fraction(0)
-            else:
-                weights[(i, j)] = Fraction(other, own)
+    weights: dict[tuple[int, int], ExtendedRational] = {
+        (i, j): Fraction(0) for i in range(n) for j in range(n) if i != j
+    }
+    for i, j, k, num, den in _value_edges(_value_matrix(instance, allocation)):
+        weights[(i, j)] = INF if k else Fraction(num, den)
     return EnvyRatioGraph(n, weights)
 
 
-def _order_value(weight: ExtendedRational) -> OrderValue:
-    """A positive weight as (k, x): a finite w is (0, w) and inf is (1, 1)."""
-    return (1, Fraction(1)) if is_infinite(weight) else (0, weight)
+def _graph_edges(graph: EnvyRatioGraph) -> list[Edge]:
+    """The graph's positive weights as integer edges, in `pairs()` order."""
+    edges = []
+    for i, j in graph.pairs():
+        w = graph.weight(i, j)
+        if is_infinite(w):
+            edges.append((i, j, 1, 1, 1))
+        elif w > 0:
+            edges.append((i, j, 0, w.numerator, w.denominator))
+    return edges
 
 
-def _relax_max_product(graph: EnvyRatioGraph) -> tuple[EnvyRanks, list[int | None]]:
+def _value_edges(values: list[list[int]]) -> list[Edge]:
+    """The envy-ratio edges of a value matrix values[i][j] = v_i(B_j), in
+    `pairs()` order: the same weights as `build_envy_ratio_graph`, kept as
+    the unreduced integers other/own, with no graph built."""
+    edges = []
+    for i, row in enumerate(values):
+        own = row[i]
+        for j, other in enumerate(row):
+            if j != i and other > 0:
+                edges.append((i, j, 0, other, own) if own else (i, j, 1, 1, 1))
+    return edges
+
+
+def _relax_max_product(
+    n: int, edges: list[Edge]
+) -> tuple[EnvyRanks, list[int | None]]:
     """Envy ranks plus the predecessor links of rank-attaining paths.
 
-    Max-product Bellman-Ford over (k, x) pairs from the all-ones baseline,
-    on the positive edges in `pairs()` order (a weight-0 edge can never beat
-    the empty path): at most agent_count - 1 rounds, stopping after a round
-    without change, then one probing round. An edge that still improves in
-    the probe closes an improving cycle in the predecessor links, which is
+    Max-product Bellman-Ford over integer (k, num, den) values from the
+    all-ones baseline, on positive edges in `pairs()` order (a weight-0
+    edge can never beat the empty path, so it is never listed): at most
+    n - 1 rounds, stopping after a round without change, then one probing
+    round. A candidate num_i*a / (den_i*b) beats num_j/den_j when
+    num_i*a*den_j > num_j*den_i*b (equal k parts), and a gcd reduces a
+    value only when it is updated. An edge that still improves in the
+    probe closes an improving cycle in the predecessor links, which is
     raised as ImprovingCycleExists. Otherwise the values are exactly the
     simple-path maxima (any walk reduces to a simple path of at least the
     same product once no cycle beats 1).
     """
-    n = graph.agent_count
-    edges = [
-        (i, j, _order_value(w))
-        for (i, j) in graph.pairs()
-        if (w := graph.weight(i, j)) > 0
-    ]
-    values: list[OrderValue] = [(0, Fraction(1))] * n
+    ks, nums, dens = [0] * n, [1] * n, [1] * n
     preds: list[int | None] = [None] * n
     for round_ in range(n):  # the last round is the probe
         changed = False
-        for i, j, (k, x) in edges:
-            candidate = (values[i][0] + k, values[i][1] * x)
-            if candidate > values[j]:
+        for i, j, k, a, b in edges:
+            kc = ks[i] + k
+            if kc > ks[j] or (
+                kc == ks[j] and nums[i] * a * dens[j] > nums[j] * dens[i] * b
+            ):
                 preds[j] = i
                 if round_ == n - 1:
                     cycle = _cycle_from_predecessors(preds, j, n)
-                    assert product(cycle_weights(graph, cycle)) > 1
+                    assert _is_improving(cycle, edges)
                     raise ImprovingCycleExists(cycle)
-                values[j] = candidate
+                num, den = nums[i] * a, dens[i] * b
+                g = math.gcd(num, den)
+                ks[j], nums[j], dens[j] = kc, num // g, den // g
                 changed = True
         if not changed:
             break
-    return EnvyRanks(tuple(INF if k else x for k, x in values)), preds
+    ranks = tuple(
+        INF if k else Fraction(num, den) for k, num, den in zip(ks, nums, dens)
+    )
+    return EnvyRanks(ranks), preds
+
+
+def _is_improving(cycle: Cycle, edges: list[Edge]) -> bool:
+    """Whether the cycle's exact edge product exceeds 1."""
+    weights = {(i, j): (k, a, b) for i, j, k, a, b in edges}
+    k_sum, num, den = 0, 1, 1
+    for t, i in enumerate(cycle):
+        k, a, b = weights[(i, cycle[(t + 1) % len(cycle)])]
+        k_sum, num, den = k_sum + k, num * a, den * b
+    return k_sum > 0 or num > den
 
 
 def _cycle_from_predecessors(preds: list[int | None], start: int, n: int) -> Cycle:
@@ -189,7 +225,7 @@ def _predecessor_path(preds: list[int | None], agent: int) -> list[int]:
 def find_improving_cycle(graph: EnvyRatioGraph) -> Cycle | None:
     """Some directed cycle whose exact weight product exceeds 1, if any."""
     try:
-        _relax_max_product(graph)
+        _relax_max_product(graph.agent_count, _graph_edges(graph))
     except ImprovingCycleExists as found:
         return found.cycle
     return None
@@ -200,7 +236,7 @@ def envy_ranks(graph: EnvyRatioGraph) -> EnvyRanks:
 
     Raises ImprovingCycleExists, naming a cycle, on a graph that has one.
     """
-    return _relax_max_product(graph)[0]
+    return _relax_max_product(graph.agent_count, _graph_edges(graph))[0]
 
 
 def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
@@ -209,7 +245,8 @@ def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
     Returns [agent] alone when the empty path is maximal. Raises
     ImprovingCycleExists on graphs where ranks are undefined.
     """
-    return _predecessor_path(_relax_max_product(graph)[1], agent)
+    preds = _relax_max_product(graph.agent_count, _graph_edges(graph))[1]
+    return _predecessor_path(preds, agent)
 
 
 def topological_order(

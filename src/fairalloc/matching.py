@@ -5,7 +5,7 @@ maximum-weight bipartite matching on log values (zero values get a sentinel
 weight low enough that assignments are ranked first by how many agents end
 up with a positive value). An exact repair loop then fixes anything the
 floats got wrong. Every iteration is one certify-or-move step: a single
-max-product relaxation of the envy-ratio graph either certifies the two
+max-product relaxation over the envy ratios either certifies the two
 properties every later step relies on,
 
   * the envy-ratio graph admits no improving cycle, and
@@ -15,7 +15,11 @@ and returns the envy ranks, or it yields the repair move: a rotation of the
 matched items along the improving cycle it found, or, for the smallest
 (agent, pool item) breaking the second clause, a path move along the
 agent's maximum-product path that pulls the item in. `verify_nsw_certificate`
-is the same step run once on a given matching.
+is the same step run once on a given matching. The relaxation runs on
+integers only: each envy ratio is an edge (k, num, den), meaning
+inf**k * num/den, read straight from the integer value matrix on
+`Instance.scaled_rows` (other/own as (0, other, own), or (1, 1, 1) toward a
+positively valued bundle when own is 0), so no `EnvyRatioGraph` is built.
 
 Each repair move strictly increases the lexicographic objective (number of
 agents with positive value, then the product of those values), so the loop
@@ -37,7 +41,8 @@ from .envy import (
     EnvyRanks,
     _predecessor_path,
     _relax_max_product,
-    build_envy_ratio_graph,
+    _value_edges,
+    _value_matrix,
     product,
     rotate_bundles,
 )
@@ -69,7 +74,10 @@ def _warm_start(instance: Instance) -> Allocation:
     """Float log-weight matching; zero values carry a count-dominating sentinel."""
     n, m = instance.agent_count, instance.item_count
     logs = [
-        [math.log(v.numerator) - math.log(v.denominator) if v > 0 else None for v in row]
+        [
+            math.log(v.numerator) - math.log(v.denominator) if v.numerator else None
+            for v in row
+        ]
         for row in instance.valuations
     ]
     finite = [x for row in logs for x in row if x is not None]
@@ -129,9 +137,9 @@ def _certify_or_move(
     instance: Instance, allocation: Allocation
 ) -> EnvyRanks | Allocation:
     """The certified envy ranks, or the repair loop's next allocation."""
-    graph = build_envy_ratio_graph(instance, allocation)
+    edges = _value_edges(_value_matrix(instance, allocation))
     try:
-        ranks, preds = _relax_max_product(graph)
+        ranks, preds = _relax_max_product(instance.agent_count, edges)
     except ImprovingCycleExists as found:
         return rotate_bundles(allocation, found.cycle)
     violation = _find_pool_violation(instance, allocation, ranks)

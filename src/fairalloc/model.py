@@ -3,6 +3,13 @@
 All arithmetic is exact. Valuations are non-negative rationals
 (`fractions.Fraction`); the only non-rational value that ever appears is
 `math.inf`, used for unbounded fairness factors and infinite envy ratios.
+
+The fairness checks keep integers of their own: on each call `_own_ratios`
+scales every envier's `Fraction` row by the LCM of that row's denominators,
+apart from the solvers' cached `Instance.scaled_rows`, so a wrong decision
+row cannot certify its own output. Each ratio v_i(own) / D_ij is then one
+pair of integers, compared by cross-multiplying, and `fairness_factor`
+builds a single reduced `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidAllocation, InvalidInstance
 
@@ -179,10 +186,25 @@ class Allocation:
         return not self.remaining
 
     def with_item(self, agent: int, item: int) -> "Allocation":
-        """New allocation with one more item in the given agent's bundle."""
+        """New allocation with one more item in the given agent's bundle.
+
+        Only the new (agent, item) is checked: the agent must exist and the
+        item must be in range and still unallocated. The bundles are then
+        disjoint by construction, so they are not walked again.
+        """
+        if not 0 <= agent < self.agent_count:
+            raise InvalidAllocation(f"agent {agent} out of range")
+        if not 0 <= item < self.item_count:
+            raise InvalidAllocation(f"item {item} out of range")
+        for holder, bundle in enumerate(self.bundles):
+            if item in bundle:
+                raise InvalidAllocation(f"item {item} already held by agent {holder}")
         new = list(self.bundles)
         new[agent] = new[agent] | {item}
-        return Allocation(tuple(new), self.item_count)
+        allocation = object.__new__(Allocation)
+        object.__setattr__(allocation, "bundles", tuple(new))
+        object.__setattr__(allocation, "item_count", self.item_count)
+        return allocation
 
 
 def check_allocation(instance: Instance, allocation: Allocation) -> None:
@@ -217,8 +239,10 @@ def removal_expectation(
     only item (or removing from nothing) leaves nothing behind.
     """
     items = frozenset(bundle)
-    bundle_value(instance, observer, items)  # range-check
-    return _comparison_denominator(instance.valuations[observer], items, FairnessNotion.EFR)
+    total = bundle_value(instance, observer, items)
+    if len(items) < 2:
+        return Fraction(0)
+    return Fraction(len(items) - 1, len(items)) * total
 
 
 @dataclass(frozen=True)
@@ -236,27 +260,49 @@ class FairnessReport:
     witness: tuple[int, int] | None
 
 
-def _comparison_denominator(
-    row: tuple[Fraction, ...], rival_bundle: frozenset[int], notion: FairnessNotion
-) -> Fraction:
-    """The rival-bundle quantity the envier's own value is measured against.
+def _own_ratios(
+    instance: Instance,
+    allocation: Allocation,
+    notion: FairnessNotion,
+    enviers: Iterable[int],
+) -> Iterator[tuple[int, int, int, int]]:
+    """(i, j, num, den) with num / den = v_i(own) / D_ij exactly, den > 0.
 
-    `row` is the envier's valuation row, read once per rival item. Every
-    notion but EF removes an item first, so a singleton leaves 0.
+    D_ij is the notion's comparison denominator for j's bundle, read by
+    agent i: the bundle's value (EF), less its most (EF1) or least (EFX)
+    valued item, or (k-1)/k of it for a k-item bundle (EFR, folded in as
+    num = own*k, den = (k-1)*total). Every notion but EF removes an item
+    first, so a singleton leaves 0. Pairs with D_ij = 0 are skipped. Pairs
+    come in (i, j) order over `enviers`. Values are integers on agent i's
+    row scaled here, per call, from the `Fraction` valuations; own values
+    come from `bundle_value`.
     """
-    if not rival_bundle or (len(rival_bundle) == 1 and notion is not FairnessNotion.EF):
-        return Fraction(0)
-    per_item = [row[b] for b in rival_bundle]
-    total = sum(per_item, Fraction(0))
-    if notion is FairnessNotion.EF:
-        return total
-    if notion is FairnessNotion.EF1:
-        return total - max(per_item)
-    if notion is FairnessNotion.EFX:
-        return total - min(per_item)
-    if notion is FairnessNotion.EFR:
-        return Fraction(len(per_item) - 1, len(per_item)) * total
-    raise ValueError(f"unknown notion {notion!r}")
+    bundles = allocation.bundles
+    for i in enviers:
+        row = instance.valuations[i]
+        scale = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        own = bundle_value(instance, i, bundles[i])
+        own = own.numerator * scale // own.denominator  # exact: scale clears it
+        for j, bundle in enumerate(bundles):
+            if j == i or not bundle:
+                continue
+            per_item = [ints[g] for g in bundle]
+            size, total = len(per_item), sum(per_item)
+            if notion is FairnessNotion.EF:
+                num, den = own, total
+            elif size == 1:
+                continue
+            elif notion is FairnessNotion.EF1:
+                num, den = own, total - max(per_item)
+            elif notion is FairnessNotion.EFX:
+                num, den = own, total - min(per_item)
+            elif notion is FairnessNotion.EFR:
+                num, den = own * size, (size - 1) * total
+            else:
+                raise ValueError(f"unknown notion {notion!r}")
+            if den:
+                yield i, j, num, den
 
 
 def fairness_factor(
@@ -267,27 +313,20 @@ def fairness_factor(
     The factor is the minimum over ordered pairs (i, j), i != j, of
     v_i(own) / D_ij where D_ij is the notion's comparison denominator for
     j's bundle. Pairs with D_ij = 0 impose no constraint for any factor and
-    are skipped; if every pair is skipped the factor is unbounded.
+    are skipped; if every pair is skipped the factor is unbounded. The
+    minimum is kept as an integer pair from `_own_ratios`, the first strict
+    minimum in (i, j) order, and reduced to a `Fraction` once.
     """
     check_allocation(instance, allocation)
-    n = instance.agent_count
-    own = [bundle_value(instance, i, allocation.bundles[i]) for i in range(n)]
-    best: Fraction | None = None
+    best_num, best_den = 0, 1
     witness: tuple[int, int] | None = None
-    for i, row in enumerate(instance.valuations):
-        for j in range(n):
-            if i == j:
-                continue
-            denom = _comparison_denominator(row, allocation.bundles[j], notion)
-            if denom == 0:
-                continue
-            ratio = own[i] / denom
-            if best is None or ratio < best:
-                best = ratio
-                witness = (i, j)
-    if best is None:
+    agents = range(instance.agent_count)
+    for i, j, num, den in _own_ratios(instance, allocation, notion, agents):
+        if witness is None or num * best_den < best_num * den:
+            best_num, best_den, witness = num, den, (i, j)
+    if witness is None:
         return FairnessReport(notion, INF, None)
-    return FairnessReport(notion, best, witness)
+    return FairnessReport(notion, Fraction(best_num, best_den), witness)
 
 
 def factor_at_least(

@@ -14,6 +14,8 @@ from fairalloc import (
     InfiniteRank,
     Instance,
     InstanceTooSmall,
+    InternalGuaranteeViolated,
+    InvalidAllocation,
     InvariantChecked,
     MatchingDone,
     Pick,
@@ -32,10 +34,12 @@ from fairalloc import (
     verify_nsw_certificate,
 )
 from fairalloc.algorithms import (
+    MODES,
     AgentGroups,
     CycleRotated,
     GroupsAssigned,
     SourcePick,
+    _check_refined,
 )
 from fairalloc.envy import EnvyRanks, envy_cycle_in
 from fairalloc.files import (
@@ -43,9 +47,11 @@ from fairalloc.files import (
     allocation_to_json,
     generate_instance,
     random_instances,
+    trace_from_lines,
     trace_to_lines,
 )
 from fairalloc.matching import lexicographic_objective
+from fairalloc.model import compare_scaled
 from fairalloc.oracle import oracle_nsw_matching
 
 EFR = FairnessNotion.EFR
@@ -484,6 +490,141 @@ class TestTraceReplay:
         allocation, trace = solve_efx(four_by_four)
         assert isinstance(trace[0], MatchingDone)
         assert replay_trace(trace) == allocation
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"event": "pick", "agent": -1, "item": 3, "pass": "g2"}',
+            '{"event": "pick", "agent": 4, "item": 3, "pass": "g2"}',
+            '{"event": "source-pick", "agent": 0, "item": 0}',
+            '{"event": "source-pick", "agent": 1, "item": 0}',
+            '{"event": "source-pick", "agent": 0, "item": 7}',
+        ],
+        ids=["negative-agent", "agent-past-the-end", "re-pick-own-item",
+             "item-held-by-another", "item-past-the-end"],
+    )
+    def test_replay_rejects_a_bad_pick_read_from_a_trace_file(self, line):
+        matching = MatchingDone(
+            Allocation.of([[0], [1], [2], [3]], 6), EnvyRanks((Fraction(1),) * 4)
+        )
+        text = trace_to_lines([matching]) + line + "\n"
+        with pytest.raises(InvalidAllocation):
+            replay_trace(trace_from_lines(text))
+
+
+def refined_check_outcome(instance, state):
+    """The events `_check_refined` records, and the check that failed, if any."""
+    trace = []
+    try:
+        _check_refined(instance, state, trace)
+    except InternalGuaranteeViolated as failed:
+        return trace, str(failed)
+    return trace, None
+
+
+def reference_check_outcome(instance, state):
+    """The same checks on `Fraction`s, pair by pair and item by item."""
+    allocation, groups = state.allocation, state.groups
+    spec = MODES[groups.mode]
+    n = instance.agent_count
+    own = [bundle_value(instance, i, allocation.bundles[i]) for i in range(n)]
+
+    def denominator(i, j):
+        per_item = sorted(instance.value(i, g) for g in allocation.bundles[j])
+        if len(per_item) < 2:
+            return Fraction(0)
+        return sum(per_item, Fraction(0)) * (len(per_item) - 1) / len(per_item) if (
+            groups.mode is EFR
+        ) else sum(per_item, Fraction(0)) - per_item[0]
+
+    verdicts = [
+        (
+            "refine-g1-full-fairness" if k == 0 else f"refine-g{k + 1}-factor",
+            all(
+                compare_scaled(own[i], factor, denominator(i, j)) >= 0
+                for i in members
+                for j in range(n)
+                if j != i
+            ),
+        )
+        for k, (members, factor) in enumerate(zip(groups.members, spec.factors))
+    ]
+    if spec.global_check:
+        report = fairness_factor(instance, allocation, groups.mode)
+        verdicts.append(("refine-global-factor", meets_threshold(report, spec.threshold)))
+    verdicts.append((
+        "refine-remaining-bounds",
+        all(
+            compare_scaled(own[i], bound, instance.value(i, item)) >= 0
+            for members, bound in zip(groups.members, spec.pool_bounds)
+            for i in members
+            for item in allocation.remaining
+        ),
+    ))
+    trace = []
+    for name, passed in verdicts:  # the checks stop at the first failure
+        trace.append(InvariantChecked(name, passed))
+        if not passed:
+            return trace, name
+    return trace, None
+
+
+def random_refinement_states(rng, trials):
+    """(clean instance, instance with wrong `scaled_rows`, state) triples:
+    p/q values, or 1s and 2s for exact ties, with zeros, partial allocations
+    and random rank groups."""
+    for trial in range(trials):
+        n, m = rng.randint(2, 5), rng.randint(2, 10)
+        top, denominator = (2, 1) if trial % 2 else (40, 9)
+        rows = [
+            [
+                Fraction(0) if rng.random() < 0.2
+                else Fraction(rng.randint(1, top), rng.randint(1, denominator))
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+        clean, poisoned = Instance.from_rows(rows), Instance.from_rows(rows)
+        poisoned.__dict__["scaled_rows"] = tuple(
+            tuple(rng.randint(0, 50) for _ in range(m)) for _ in range(n)
+        )
+        owners = [rng.randrange(-1, n) for _ in range(m)]
+        alloc = Allocation.of([[g for g in range(m) if owners[g] == i] for i in range(n)], m)
+        for mode, group_count in ((EFR, 3), (EFX, 2)):
+            members = [set() for _ in range(3)]
+            for agent in range(n):
+                members[min(rng.randrange(group_count + 2), group_count - 1)].add(agent)
+            groups = AgentGroups(mode, *map(frozenset, members))
+            yield clean, poisoned, RefinementState(alloc, groups, tuple(range(n)))
+
+
+class TestRefinementChecks:
+    def test_verdicts_match_a_fraction_reference(self):
+        failures = []
+        for instance, _, state in random_refinement_states(random.Random(808), 150):
+            outcome = refined_check_outcome(instance, state)
+            assert outcome == reference_check_outcome(instance, state)
+            failures.append(outcome[1])
+        # The global EFR check cannot fail once every group factor holds:
+        # each group's factor is at least sqrt(3) - 1.
+        for name in (None, "refine-g1-full-fairness", "refine-g2-factor",
+                     "refine-g3-factor", "refine-remaining-bounds"):
+            assert name in failures, name
+
+    def test_wrong_decision_rows_change_no_check(self):
+        """The checks scale their own integers from the `Fraction`s: with the
+        cached `scaled_rows` overwritten by wrong rows, every factor, witness
+        and refinement verdict stays the same."""
+        outcomes = set()
+        for clean, poisoned, state in random_refinement_states(random.Random(909), 120):
+            for notion in FairnessNotion:
+                assert fairness_factor(poisoned, state.allocation, notion) == (
+                    fairness_factor(clean, state.allocation, notion)
+                )
+            outcome = refined_check_outcome(clean, state)
+            assert refined_check_outcome(poisoned, state) == outcome
+            outcomes.add(outcome[1])
+        assert None in outcomes and len(outcomes) > 3  # passes and several failures
 
 
 class TestGoldenTrace:

@@ -18,11 +18,21 @@ from fairalloc import (
     find_envy_cycle,
     find_improving_cycle,
     max_product_path,
+    nsw_matching,
     rotate_bundles,
     strict_envy_edges,
     topological_order,
 )
-from fairalloc.envy import cycle_weights, envy_cycle_in, product
+from fairalloc.envy import (
+    _cycle_from_predecessors,
+    _graph_edges,
+    _relax_max_product,
+    _value_edges,
+    _value_matrix,
+    cycle_weights,
+    envy_cycle_in,
+    product,
+)
 from fairalloc.oracle import oracle_envy_rank, oracle_improving_cycle
 
 
@@ -243,6 +253,81 @@ class TestEnvyRanks:
                 assert product(weights) == ranks[agent] or (
                     not weights and ranks[agent] == 1
                 )
+
+
+def reference_relaxation(graph):
+    """The relaxation over (k, Fraction) pairs that the integer kernel
+    replaced, kept as a reference: the ranks with their predecessor links,
+    or ("cycle", the raised cycle)."""
+    n = graph.agent_count
+    edges = [
+        (i, j, (1, Fraction(1)) if w == INF else (0, w))
+        for (i, j) in graph.pairs()
+        if (w := graph.weight(i, j)) > 0
+    ]
+    values = [(0, Fraction(1))] * n
+    preds = [None] * n
+    for round_ in range(n):
+        changed = False
+        for i, j, (k, x) in edges:
+            candidate = (values[i][0] + k, values[i][1] * x)
+            if candidate > values[j]:
+                preds[j] = i
+                if round_ == n - 1:
+                    return "cycle", _cycle_from_predecessors(preds, j, n)
+                values[j] = candidate
+                changed = True
+        if not changed:
+            break
+    return tuple(INF if k else x for k, x in values), preds
+
+
+def kernel_outcome(n, edges):
+    try:
+        ranks, preds = _relax_max_product(n, edges)
+    except ImprovingCycleExists as found:
+        return "cycle", found.cycle
+    return ranks.ranks, preds
+
+
+class TestIntegerRelaxation:
+    def test_both_front_ends_match_the_fraction_reference(self):
+        """Ranks, predecessor links and raised cycles on one-item allocations
+        (a random one and the certified matching per instance) with zeros,
+        hence infinite edges, and huge rationals."""
+        rng = random.Random(2718)
+        seen = {"cycle": 0, "ranks": 0, "infinite edge": 0, "infinite rank": 0}
+        for _ in range(400):
+            n = rng.randint(2, 7)
+            m = rng.randint(n, n + 3)
+            zero_chance = rng.choice((0.0, 0.3, 0.7))
+            instance = Instance.from_rows(
+                [
+                    [
+                        Fraction(0) if rng.random() < zero_chance
+                        else rng.choice(
+                            (
+                                Fraction(rng.randint(1, 30), rng.randint(1, 9)),
+                                Fraction(10**40 + rng.randint(0, 3), 7),
+                            )
+                        )
+                        for _ in range(m)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            random_matching = Allocation.of([[g] for g in rng.sample(range(m), n)], m)
+            for allocation in (random_matching, nsw_matching(instance).allocation):
+                graph = build_envy_ratio_graph(instance, allocation)
+                expected = reference_relaxation(graph)
+                value_edges = _value_edges(_value_matrix(instance, allocation))
+                assert kernel_outcome(n, value_edges) == expected
+                assert kernel_outcome(n, _graph_edges(graph)) == expected
+                found_cycle = expected[0] == "cycle"
+                seen["cycle" if found_cycle else "ranks"] += 1
+                seen["infinite edge"] += INF in graph.weights.values()
+                seen["infinite rank"] += not found_cycle and INF in expected[0]
+        assert min(seen.values()) >= 30, seen
 
 
 class TestTopologicalOrder:

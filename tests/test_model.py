@@ -53,6 +53,22 @@ class TestInstanceAndAllocation:
         assert not alloc.is_complete
         assert alloc.with_item(0, 1).with_item(1, 3).is_complete
 
+    @pytest.mark.parametrize(
+        "agent, item",
+        [(-1, 1), (2, 1), (0, 0), (1, 0), (0, 4), (0, -1)],
+        ids=["negative-agent", "agent-past-the-end", "re-pick-own-item",
+             "item-held-by-another", "item-past-the-end", "negative-item"],
+    )
+    def test_with_item_rejects_bad_picks(self, agent, item):
+        alloc = Allocation.of([[0], [2]], 4)
+        with pytest.raises(InvalidAllocation):
+            alloc.with_item(agent, item)
+
+    def test_with_item_adds_exactly_one_item(self):
+        alloc = Allocation.of([[0], [2]], 4).with_item(1, 3)
+        assert alloc == Allocation.of([[0], [2, 3]], 4)
+        assert alloc.remaining == {1}
+
     def test_mismatched_allocation_rejected(self, two_by_five):
         three_bundles = Allocation.of([[0], [1], [2]], 5)
         with pytest.raises(InvalidAllocation):
@@ -196,6 +212,51 @@ class TestFairnessFactor:
             for notion in FairnessNotion:
                 expected = _notion_factor(instance, alloc, notion)
                 assert fairness_factor(instance, alloc, notion).factor == expected
+
+    @given(
+        rows=st.integers(2, 4).flatmap(
+            lambda n: st.integers(2, 7).flatmap(
+                lambda m: st.lists(
+                    st.lists(st.integers(0, 2), min_size=m, max_size=m),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        ),
+        data=st.data(),
+    )
+    def test_witness_is_the_smallest_pair_attaining_the_factor(self, rows, data):
+        """Values in {0, 1, 2} make ties between pairs common."""
+        n, m = len(rows), len(rows[0])
+        owners = data.draw(st.lists(st.integers(-1, n - 1), min_size=m, max_size=m))
+        alloc = Allocation.of([[g for g in range(m) if owners[g] == i] for i in range(n)], m)
+        instance = Instance.from_rows(rows)
+        for notion in FairnessNotion:
+            ratios = {}
+            for i in range(n):
+                own = sum((Fraction(rows[i][g]) for g in alloc.bundles[i]), Fraction(0))
+                for j in range(n):
+                    per_item = sorted(Fraction(rows[i][g]) for g in alloc.bundles[j])
+                    if i == j or not per_item:
+                        continue
+                    total = sum(per_item, Fraction(0))
+                    denom = {
+                        FairnessNotion.EF: total,
+                        FairnessNotion.EF1: total - per_item[-1],
+                        FairnessNotion.EFX: total - per_item[0],
+                        FairnessNotion.EFR: total * (len(per_item) - 1) / len(per_item),
+                    }[notion]
+                    if notion is not FairnessNotion.EF and len(per_item) == 1:
+                        denom = Fraction(0)
+                    if denom:
+                        ratios[(i, j)] = own / denom
+            report = fairness_factor(instance, alloc, notion)
+            if not ratios:
+                assert report == FairnessReport(notion, INF, None)
+                continue
+            factor = min(ratios.values())
+            witness = min(pair for pair, ratio in ratios.items() if ratio == factor)
+            assert report == FairnessReport(notion, factor, witness)
 
     def test_notion_ordering_on_random_allocations(self):
         """EF <= EFX <= EFR <= EF1, with an unbounded factor as top element."""
