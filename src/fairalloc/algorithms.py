@@ -35,8 +35,10 @@ from dataclasses import dataclass
 from .envy import (
     Cycle,
     EnvyRanks,
+    _envy_cycle_in_masks,
+    _envy_mask,
+    _on_cycle,
     _value_matrix,
-    envy_cycle_in,
     find_envy_cycle,  # noqa: F401 -- perfbench/spans.py times this binding
     rotate_bundles,
     strict_envy_edges,
@@ -224,19 +226,21 @@ class RefinementState:
 def _pick_pass(
     instance: Instance,
     allocation: Allocation,
+    pool: list[int],
     members: frozenset[int],
     order: tuple[int, ...],
     label: str,
     trace: Trace,
 ) -> Allocation:
+    """One pick per member in `order`, each taken out of the sorted `pool`."""
     for agent in order:
         if agent not in members:
             continue
-        # the first maximum: smallest index on ties
-        row = instance.scaled_rows[agent]
-        item = max(sorted(allocation.remaining), key=row.__getitem__, default=None)
-        if item is None:
+        if not pool:
             break  # pool exhausted: remaining picks are skipped
+        # the first maximum: smallest index on ties
+        item = max(pool, key=instance.scaled_rows[agent].__getitem__)
+        pool.remove(item)
         allocation = allocation.with_item(agent, item)
         trace.append(Pick(agent, item, label))
     return allocation
@@ -256,9 +260,10 @@ def refine_step2(
     if trace is None:
         trace = []
     allocation, groups, order = state.allocation, state.groups, state.order
+    pool = sorted(allocation.remaining)
     for label, group in MODES[groups.mode].passes:
         allocation = _pick_pass(
-            instance, allocation, groups.members[group], order, label, trace
+            instance, allocation, pool, groups.members[group], order, label, trace
         )
     return RefinementState(allocation, groups, order)
 
@@ -284,6 +289,17 @@ def envy_cycle_elimination(
     entries of one row with each other (values[i][j] > values[i][i], and
     the source's best pool item), so each row's own scale cancels.
 
+    The strict-envy edges are kept as one bitmask per agent, bit j of
+    masks[i] set iff values[i][j] > values[i][i], and a pick updates them
+    in O(n): column `source` only grows, so another agent can only gain
+    bit `source`, and only the source's own mask is recomputed. A rotation
+    recomputes every mask. The source is the lowest bit set in no mask.
+    Before a pick the graph is acyclic; the pick adds edges into the source
+    only and removes edges out of it only, so any cycle it closes passes
+    through the source. The cycle search therefore runs after a pick only
+    when the source is now envied and reaches itself along the masks;
+    anywhere else it would return None.
+
     With `running_check` set, the stated factor is re-verified after every
     rotation and every pick from the instance itself, in `Fraction`s, so a
     wrong matrix update cannot certify itself.
@@ -296,7 +312,7 @@ def envy_cycle_elimination(
         return allocation
     rows = instance.scaled_rows
     values = _value_matrix(instance, allocation)
-    agents = range(instance.agent_count)
+    masks = [_envy_mask(row, i) for i, row in enumerate(values)]
 
     def check_running(tag: str) -> None:
         if running_check is None:
@@ -307,22 +323,32 @@ def envy_cycle_elimination(
         if not passed:
             raise InternalGuaranteeViolated(f"completion-factor after {tag}")
 
+    search = True  # the starting allocation may hold cycles
     while pool:
-        while (cycle := envy_cycle_in(values)) is not None:
+        while search and (cycle := _envy_cycle_in_masks(masks)) is not None:
             allocation = rotate_bundles(allocation, cycle)
             successors = cycle[1:] + cycle[:1]
             for row in values:
                 for agent, value in zip(cycle, [row[j] for j in successors]):
                     row[agent] = value
+            masks = [_envy_mask(row, i) for i, row in enumerate(values)]
             trace.append(CycleRotated(cycle))
             check_running("rotation")
-        source = next(
-            j for j in agents if all(values[i][j] <= values[i][i] for i in agents)
-        )
+        envied = 0
+        for mask in masks:
+            envied |= mask
+        source = (~envied & (envied + 1)).bit_length() - 1  # lowest unset bit
         item = max(pool, key=rows[source].__getitem__)  # first maximum: smallest index
         pool.remove(item)
-        for row, value_row in zip(rows, values):
+        bit = 1 << source
+        search = False  # set once the pick gives the source an envier
+        for i, (row, value_row) in enumerate(zip(rows, values)):
             value_row[source] += row[item]
+            if value_row[source] > value_row[i]:  # never for i == source
+                masks[i] |= bit
+                search = True
+        masks[source] = _envy_mask(values[source], source)
+        search = search and _on_cycle(masks, source)
         allocation = allocation.with_item(source, item)
         trace.append(SourcePick(source, item))
         check_running("pick")

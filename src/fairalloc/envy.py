@@ -21,6 +21,16 @@ other, and a rank with k > 0 reads back as INF. The matching reads its edges
 straight from the integer value matrix (`_value_edges`, which
 `build_envy_ratio_graph` also turns into weights); the public graph API
 converts a graph's weights back (`_graph_edges`).
+
+The strict-envy graph is one Python int per agent: bit j of masks[i] is set
+iff values[i][j] > values[i][i] (`_envy_mask`). There is one strict-envy
+cycle search, `_envy_cycle_in_masks`, a depth-first search on those masks;
+`envy_cycle_in` and `find_envy_cycle` build the masks and call it. Envy-cycle
+completion keeps its masks up to date pick by pick, and searches again after
+a pick only when `_on_cycle` finds the picking agent on a cycle: the graph
+was acyclic before the pick, and a pick only adds edges into the picking
+agent and only removes edges out of it, so every cycle it closes passes
+through that agent.
 """
 
 from __future__ import annotations
@@ -304,36 +314,71 @@ def envy_cycle_in(values: Sequence[Sequence[Fraction | int]]) -> Cycle | None:
 
     Agent i envies j when values[i][j] > values[i][i]. A row is only ever
     compared within itself, so each row may be scaled by its own positive
-    factor. Depth-first search starting from the smallest agent index,
-    visiting neighbours in ascending order. The search keeps its own stack,
-    so the length of an envy chain is not bounded by the recursion limit.
+    factor. The matrix becomes one envy mask per agent (`_envy_mask`) and
+    `_envy_cycle_in_masks` searches those.
     """
-    n = len(values)
-    successors = [
-        [j for j, value in enumerate(row) if j != i and value > row[i]]
-        for i, row in enumerate(values)
-    ]
+    return _envy_cycle_in_masks([_envy_mask(row, i) for i, row in enumerate(values)])
 
-    color = [0] * n  # 0 new, 1 open, 2 done
-    for start in range(n):
-        if color[start]:
+
+def _envy_mask(row: Sequence[Fraction | int], agent: int) -> int:
+    """Bit j set iff the agent strictly prefers bundle j to its own."""
+    own = row[agent]
+    mask = 0
+    for j, value in enumerate(row):
+        if value > own:
+            mask |= 1 << j
+    return mask
+
+
+def _envy_cycle_in_masks(masks: Sequence[int]) -> Cycle | None:
+    """The strict-envy cycle search on envy masks (bit j of masks[i] set iff
+    agent i envies agent j); the first cycle found, or None.
+
+    Depth-first search starting from the smallest agent index, visiting
+    neighbours in ascending order: an open agent's next neighbour is the
+    lowest set bit of its unvisited neighbours that is not yet done. The
+    search keeps its own stack, so the length of an envy chain is not
+    bounded by the recursion limit.
+    """
+    done = 0
+    for start in range(len(masks)):
+        if done >> start & 1:
             continue
-        color[start] = 1
-        path = [start]  # the open vertices, in visit order
-        pending = [iter(successors[start])]  # each one's unvisited neighbours
+        path = [start]  # the open agents, in visit order
+        open_ = 1 << start
+        pending = [masks[start]]  # each open agent's neighbours not yet visited
         while path:
-            for nxt in pending[-1]:
-                if color[nxt] == 1:
-                    return _canonical(path[path.index(nxt):])
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    pending.append(iter(successors[nxt]))
-                    break
-            else:
-                color[path.pop()] = 2
+            candidates = pending[-1] & ~done
+            if not candidates:
+                finished = 1 << path.pop()
+                done |= finished
+                open_ ^= finished
                 pending.pop()
+                continue
+            low = candidates & -candidates
+            nxt = low.bit_length() - 1
+            if open_ & low:
+                return _canonical(path[path.index(nxt):])
+            pending[-1] = candidates ^ low
+            path.append(nxt)
+            open_ |= low
+            pending.append(masks[nxt])
     return None
+
+
+def _on_cycle(masks: Sequence[int], agent: int) -> bool:
+    """Whether the agent reaches itself along the envy masks, by a bitset
+    closure: each round adds the masks of the agents reached last round."""
+    reach = frontier = masks[agent]
+    while frontier and not reach >> agent & 1:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~reach
+        reach |= frontier
+    return bool(reach >> agent & 1)
 
 
 def rotate_bundles(allocation: Allocation, cycle: Cycle) -> Allocation:

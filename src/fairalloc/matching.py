@@ -43,11 +43,10 @@ from .envy import (
     _relax_max_product,
     _value_edges,
     _value_matrix,
-    product,
     rotate_bundles,
 )
 from .errors import ImprovingCycleExists, InstanceTooSmall, InvalidAllocation
-from .model import Allocation, Instance, bundle_value, check_allocation
+from .model import Allocation, Instance, bundle_value, check_allocation, is_infinite
 
 Objective = tuple[int, Fraction]
 
@@ -118,17 +117,25 @@ def _find_pool_violation(
     """Smallest (agent, remaining item) with rank * value > own value, both
     read from the agent's row of `Instance.scaled_rows`.
 
-    An agent's items are scanned only when its best pool value breaks the
-    bound: rank * value grows with value, so otherwise none of them does.
+    Decided in integers: a value v breaks the bound when v * num > bound,
+    with (num, bound) = (rank.numerator, own * rank.denominator) for a
+    finite rank and (1, 0) for an infinite one, which every positive value
+    breaks; a zero value breaks neither. An agent's items are scanned only
+    when its best pool value breaks the bound: rank * value grows with
+    value, so otherwise none of them does.
     """
     pool = sorted(allocation.remaining)
     for agent, row in enumerate(instance.scaled_rows):
-        own = sum(row[g] for g in allocation.bundles[agent])
-        best = max((row[item] for item in pool), default=0)
-        if product([ranks[agent], best]) <= own:
+        rank = ranks[agent]
+        if is_infinite(rank):
+            num, bound = 1, 0
+        else:
+            own = sum(row[g] for g in allocation.bundles[agent])
+            num, bound = rank.numerator, own * rank.denominator
+        if max((row[item] for item in pool), default=0) * num <= bound:
             continue
         for item in pool:
-            if row[item] > 0 and product([ranks[agent], row[item]]) > own:
+            if row[item] * num > bound:
                 return agent, item
     return None
 

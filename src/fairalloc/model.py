@@ -274,29 +274,44 @@ def _own_ratios(
     num = own*k, den = (k-1)*total). Every notion but EF removes an item
     first, so a singleton leaves 0. Pairs with D_ij = 0 are skipped. Pairs
     come in (i, j) order over `enviers`. Values are integers on agent i's
-    row scaled here, per call, from the `Fraction` valuations; own values
-    come from `bundle_value`.
+    row scaled here, per call, from the `Fraction` valuations; one walk
+    over that row, through an item -> owner array, gives every bundle's
+    total, least and most valued item. Own values come from `bundle_value`.
     """
     bundles = allocation.bundles
+    n = len(bundles)
+    sizes = [len(bundle) for bundle in bundles]
+    owner = [n] * allocation.item_count  # slot n collects the pool
+    for j, bundle in enumerate(bundles):
+        for g in bundle:
+            owner[g] = j
     for i in enviers:
         row = instance.valuations[i]
-        scale = math.lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (scale // v.denominator) for v in row]
+        ratios = [v.as_integer_ratio() for v in row]
+        scale = math.lcm(*(den for _, den in ratios))
+        ints = [num * (scale // den) for num, den in ratios]
         own = bundle_value(instance, i, bundles[i])
         own = own.numerator * scale // own.denominator  # exact: scale clears it
-        for j, bundle in enumerate(bundles):
-            if j == i or not bundle:
+        # values are >= 0 and at most the row's sum: the start of max and min
+        totals, highs, lows = [0] * (n + 1), [0] * (n + 1), [sum(ints)] * (n + 1)
+        for value, j in zip(ints, owner):
+            totals[j] += value
+            if value > highs[j]:
+                highs[j] = value
+            if value < lows[j]:
+                lows[j] = value
+        for j, size in enumerate(sizes):
+            if j == i or not size:
                 continue
-            per_item = [ints[g] for g in bundle]
-            size, total = len(per_item), sum(per_item)
+            total = totals[j]
             if notion is FairnessNotion.EF:
                 num, den = own, total
             elif size == 1:
                 continue
             elif notion is FairnessNotion.EF1:
-                num, den = own, total - max(per_item)
+                num, den = own, total - highs[j]
             elif notion is FairnessNotion.EFX:
-                num, den = own, total - min(per_item)
+                num, den = own, total - lows[j]
             elif notion is FairnessNotion.EFR:
                 num, den = own * size, (size - 1) * total
             else:

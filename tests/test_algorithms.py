@@ -41,7 +41,7 @@ from fairalloc.algorithms import (
     SourcePick,
     _check_refined,
 )
-from fairalloc.envy import EnvyRanks, envy_cycle_in
+from fairalloc.envy import EnvyRanks
 from fairalloc.files import (
     GenSpec,
     allocation_to_json,
@@ -53,6 +53,8 @@ from fairalloc.files import (
 from fairalloc.matching import lexicographic_objective
 from fairalloc.model import compare_scaled
 from fairalloc.oracle import oracle_nsw_matching
+
+from envy_reference import reference_envy_cycle
 
 EFR = FairnessNotion.EFR
 EFX = FairnessNotion.EFX
@@ -193,10 +195,13 @@ def best_remaining_item(instance, allocation, agent):
 
 def reference_completion(instance, allocation):
     """Envy-cycle elimination that rebuilds the exact Fraction value matrix
-    from the instance at every step, reading no `scaled_rows`."""
+    from the instance at every step, reading no `scaled_rows`, and searches
+    it for cycles with the list-based reference search."""
     trace = []
     while allocation.remaining:
-        while (cycle := envy_cycle_in(fraction_values(instance, allocation))) is not None:
+        while (
+            cycle := reference_envy_cycle(fraction_values(instance, allocation))
+        ) is not None:
             allocation = rotate_bundles(allocation, cycle)
             trace.append(CycleRotated(cycle))
         values = fraction_values(instance, allocation)
@@ -234,7 +239,7 @@ def completed(instance, start):
 class TestCompletionAgainstReference:
     def test_matches_the_reference_completion(self):
         rng = random.Random(11)
-        rotations = 0
+        rotations = after_pick = 0
         for _ in range(80):
             n = rng.randint(3, 12)
             m = rng.randint(n, 3 * n)
@@ -251,8 +256,46 @@ class TestCompletionAgainstReference:
             start = Allocation.of([[item] for item in rng.sample(range(m), n)], m)
             expected = reference_completion(instance, start)
             assert completed(instance, start) == expected
-            rotations += sum(isinstance(e, CycleRotated) for e in expected[1])
+            trace = expected[1]
+            rotations += sum(isinstance(e, CycleRotated) for e in trace)
+            after_pick += sum(
+                isinstance(e, CycleRotated) and isinstance(before, SourcePick)
+                for before, e in zip(trace, trace[1:])
+            )
         assert rotations > 100
+        # a pick that closes a cycle: the search gated on the source ran
+        assert after_pick > 20
+
+    def test_matches_the_reference_from_partial_starts_with_cycles(self):
+        """Several items per agent and a pool left over, on starts whose
+        envy graph already holds a cycle."""
+        rng = random.Random(12)
+        starts = 0
+        while starts < 60:
+            n = rng.randint(2, 9)
+            m = rng.randint(2 * n, 4 * n)
+            instance = Instance.from_rows(
+                [
+                    [
+                        0 if rng.random() < 0.2
+                        else Fraction(rng.randint(1, 40), rng.randint(1, 6))
+                        for _ in range(m)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            owners = [rng.randrange(n + 2) for _ in range(m)]  # n, n + 1: the pool
+            start = Allocation.of(
+                [[g for g in range(m) if owners[g] == agent] for agent in range(n)], m
+            )
+            if not start.remaining or reference_envy_cycle(
+                fraction_values(instance, start)
+            ) is None:
+                continue
+            starts += 1
+            expected = reference_completion(instance, start)
+            assert isinstance(expected[1][0], CycleRotated)
+            assert completed(instance, start) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(completion_starts(), factors)
@@ -269,6 +312,36 @@ class TestCompletionAgainstReference:
             tuple(tuple(v * c for v in row) for row, c in zip(instance.valuations, cs))
         )
         assert completed(scaled, start) == completed(instance, start)
+
+
+class TestCompletionWork:
+    def test_one_cycle_search_and_one_mask_per_pick_without_rotations(self, monkeypatch):
+        """The strict-envy masks are updated in O(n) per pick, and the full
+        cycle search runs again only when a pick can have closed a cycle:
+        with no rotation in the trace that is the one search at the start."""
+        import fairalloc.algorithms as algorithms
+        import fairalloc.envy as envy
+
+        counts = {"search": 0, "mask": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        search = counted("search", envy._envy_cycle_in_masks)
+        mask = counted("mask", envy._envy_mask)
+        for module in (envy, algorithms):
+            monkeypatch.setattr(module, "_envy_cycle_in_masks", search)
+            monkeypatch.setattr(module, "_envy_mask", mask)
+        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        _, trace = solve_efx(instance, check=False)
+        picks = sum(isinstance(e, SourcePick) for e in trace)
+        assert picks > 0
+        assert not any(isinstance(e, CycleRotated) for e in trace)
+        assert counts == {"search": 1, "mask": instance.agent_count + picks}
 
 
 def run_bytes(run):

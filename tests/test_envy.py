@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairalloc import (
     INF,
@@ -34,6 +35,8 @@ from fairalloc.envy import (
     product,
 )
 from fairalloc.oracle import oracle_envy_rank, oracle_improving_cycle
+
+from envy_reference import reference_envy_cycle
 
 
 def random_matching_graph(rng: random.Random):
@@ -395,6 +398,41 @@ class TestEnvyCycles:
         assert envy_cycle_in(values) is None
         values[n - 1][n - 1], values[n - 1][0] = 1, 2
         assert envy_cycle_in(values) == tuple(range(n))
+
+
+@st.composite
+def value_matrices(draw):
+    """Square value matrices of small ints or p/q Fractions, so ties are
+    common, with some all-zero rows."""
+    n = draw(st.integers(1, 8))
+    entries = draw(
+        st.sampled_from(
+            (st.integers(0, 3), st.builds(Fraction, st.integers(0, 6), st.integers(1, 3)))
+        )
+    )
+    row = st.one_of(st.just([0] * n), st.lists(entries, min_size=n, max_size=n))
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+class TestCycleSearchAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(value_matrices())
+    def test_same_cycle_as_the_list_search(self, values):
+        assert envy_cycle_in(values) == reference_envy_cycle(values)
+
+    def test_same_cycle_on_seeded_matrices(self):
+        rng = random.Random(3)
+        found = {True: 0, False: 0}
+        for _ in range(1500):
+            n = rng.randint(2, 14)
+            values = [
+                [0] * n if rng.random() < 0.1 else [rng.randint(0, 4) for _ in range(n)]
+                for _ in range(n)
+            ]
+            expected = reference_envy_cycle(values)
+            assert envy_cycle_in(values) == expected
+            found[expected is not None] += 1
+        assert min(found.values()) > 300  # both cycles and acyclic graphs
 
 
 class TestRotation:

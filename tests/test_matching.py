@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,9 @@ from fairalloc import (
     topological_order,
     verify_nsw_certificate,
 )
-from fairalloc.envy import product
+from fairalloc.envy import EnvyRanks, product
 from fairalloc.files import random_instances
-from fairalloc.matching import lexicographic_objective
+from fairalloc.matching import _find_pool_violation, lexicographic_objective
 from fairalloc.model import bundle_value
 from fairalloc.oracle import oracle_nsw_matching
 
@@ -155,6 +156,72 @@ class TestCertificate:
     def test_requires_one_item_per_agent(self, two_by_five):
         with pytest.raises(InvalidAllocation):
             verify_nsw_certificate(two_by_five, Allocation.of([[0, 1], [2]], 5))
+
+
+    def test_infinite_rank_breaks_on_a_pool_value_of_one(self):
+        # Agent 0 values its own item at 0 and agent 1's item at 1, so agent
+        # 1's rank is infinite: its pool value of 1 breaks the bound.
+        instance = Instance.from_rows([[0, 1, 0], [0, 5, 1]])
+        allocation = Allocation.of([[0], [1]], 3)
+        assert envy_ranks(build_envy_ratio_graph(instance, allocation))[1] == INF
+        assert not verify_nsw_certificate(instance, allocation)
+
+
+def reference_pool_violation(instance, allocation, ranks):
+    """The smallest (agent, pool item) with rank * value > own value, in
+    `Fraction`s on the instance's own valuations."""
+    for agent, bundle in enumerate(allocation.bundles):
+        own = bundle_value(instance, agent, bundle)
+        for item in sorted(allocation.remaining):
+            if product([ranks[agent], instance.value(agent, item)]) > own:
+                return agent, item
+    return None
+
+
+class TestPoolViolation:
+    def test_matches_a_fraction_reference(self):
+        """Random ranks, infinite ones included, and ranks set to own/value
+        of a pool item so that rank * value ties the own value."""
+        rng = random.Random(8)
+        found = ties = 0
+        for _ in range(600):
+            n = rng.randint(1, 5)
+            m = rng.randint(n + 1, 9)
+            instance = Instance.from_rows(
+                [
+                    [
+                        0 if rng.random() < 0.25
+                        else Fraction(rng.randint(1, 30), rng.randint(1, 7))
+                        for _ in range(m)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            items = list(range(m))  # each agent takes its best item left
+            bundles = []
+            for row in instance.valuations:
+                bundles.append([max(items, key=row.__getitem__)])
+                items.remove(bundles[-1][0])
+            allocation = Allocation.of(bundles, m)
+            pool = sorted(allocation.remaining)
+            ranks = []
+            for agent, (item,) in enumerate(allocation.bundles):
+                own, other = instance.value(agent, item), instance.value(
+                    agent, rng.choice(pool)
+                )
+                kind = rng.random()
+                if kind < 0.15:
+                    ranks.append(INF)
+                elif kind < 0.5 and other and own >= other:
+                    ranks.append(own / other)
+                    ties += 1
+                else:
+                    ranks.append(Fraction(rng.randint(4, 12), 4))
+            ranks = EnvyRanks(tuple(ranks))
+            expected = reference_pool_violation(instance, allocation, ranks)
+            assert _find_pool_violation(instance, allocation, ranks) == expected
+            found += expected is not None
+        assert ties > 100 and 150 < found < 450
 
 
 class TestMatchingProperties:
