@@ -44,7 +44,7 @@ from .envy import (
     strict_envy_edges,
     topological_order,
 )
-from .errors import InfiniteRank, InstanceTooSmall, InternalGuaranteeViolated
+from .errors import InfiniteRank, InternalGuaranteeViolated
 from .matching import nsw_matching, verify_nsw_certificate
 from .model import (
     Allocation,
@@ -369,26 +369,29 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
 
     A group's factor f holds when own >= f * D_ij against every rival; with
     own / D_ij = num / den from `model._own_ratios` that is num >= f * den,
-    and a pair with D_ij = 0 holds for any f.
+    and a pair with D_ij = 0 holds for any f. One walk over every agent's
+    ratios gives each group's verdict and the smallest ratio of all, which
+    the global check compares with the mode's threshold: an agent that no
+    group holds enters that check only.
     """
     allocation, groups = state.allocation, state.groups
     mode, spec = groups.mode, MODES[groups.mode]
     rows = instance.valuations
-    for k, (members, factor) in enumerate(zip(groups.members, spec.factors)):
-        _check(
-            trace,
-            "refine-g1-full-fairness" if k == 0 else f"refine-g{k + 1}-factor",
-            all(
-                compare_scaled(num, factor, den) >= 0
-                for _, _, num, den in _own_ratios(instance, allocation, mode, members)
-            ),
-        )
+    group_of = {i: k for k, members in enumerate(groups.members) for i in members}
+    held = [True] * len(spec.factors)
+    low_num, low_den = 1, 0  # the smallest num / den so far; 1 / 0 is unbounded
+    for i, _, num, den in _own_ratios(instance, allocation, mode, range(len(rows))):
+        k = group_of.get(i)
+        if k is not None and held[k]:
+            held[k] = compare_scaled(num, spec.factors[k], den) >= 0
+        if num * low_den < low_num * den:
+            low_num, low_den = num, den
+    for k, passed in enumerate(held):
+        name = "refine-g1-full-fairness" if k == 0 else f"refine-g{k + 1}-factor"
+        _check(trace, name, passed)
     if spec.global_check:
-        _check(
-            trace,
-            "refine-global-factor",
-            meets_threshold(fairness_factor(instance, allocation, mode), spec.threshold),
-        )
+        passed = compare_scaled(low_num, spec.threshold.surd, low_den) >= 0
+        _check(trace, "refine-global-factor", passed)
     pool = allocation.remaining
     _check(
         trace,
@@ -413,10 +416,6 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
 def _solve(
     instance: Instance, mode: FairnessNotion, check: bool
 ) -> tuple[Allocation, Trace]:
-    if instance.item_count < instance.agent_count:
-        raise InstanceTooSmall(
-            f"need at least {instance.agent_count} items, got {instance.item_count}"
-        )
     threshold = MODES[mode].threshold
     trace: Trace = []
 

@@ -17,10 +17,10 @@ other/own is (0, other, own) and inf is (1, 1, 1), and each agent's value is
 a triple (k, num, den) of the same form. Along a path the k parts add and
 the fractions multiply; values compare on k first, then by cross-multiplying
 the fractions. A cycle through an infinite edge is then improving like any
-other, and a rank with k > 0 reads back as INF. The matching reads its edges
-straight from the integer value matrix (`_value_edges`, which
-`build_envy_ratio_graph` also turns into weights); the public graph API
-converts a graph's weights back (`_graph_edges`).
+other, and a rank with k > 0 reads back as INF. Every caller reads its edges
+from an integer value matrix with `_value_edges`: the matching from the
+matrix it has just summed, the public graph queries from the matrix an
+`EnvyRatioGraph` holds.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
 iff values[i][j] > values[i][i] (`_envy_mask`). There is one strict-envy
@@ -39,7 +39,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CyclicEnvyGraph, ImprovingCycleExists, InvalidAllocation
 from .model import (
@@ -47,7 +47,6 @@ from .model import (
     Allocation,
     ExtendedRational,
     Instance,
-    bundle_value,  # noqa: F401 -- perfbench/spans.py counts this binding
     check_allocation,
     is_infinite,
 )
@@ -58,13 +57,22 @@ Edge = tuple[int, int, int, int, int]  # (i, j, k, num, den): inf**k * num/den
 
 @dataclass(frozen=True)
 class EnvyRatioGraph:
-    """Pairwise envy ratios for one (instance, allocation) pair."""
+    """Pairwise envy ratios for one (instance, allocation) pair, read from
+    its value matrix values[i][j] = v_i(B_j) on `Instance.scaled_rows`."""
 
-    agent_count: int
-    weights: Mapping[tuple[int, int], ExtendedRational]
+    values: tuple[tuple[int, ...], ...]
+
+    @property
+    def agent_count(self) -> int:
+        return len(self.values)
 
     def weight(self, i: int, j: int) -> ExtendedRational:
-        return self.weights[(i, j)]
+        """v_i(B_j) / v_i(B_i); 0 if v_i(B_j) = 0, else INF if v_i(B_i) = 0."""
+        row = self.values[i]
+        own, other = row[i], row[j]
+        if not other:
+            return Fraction(0)
+        return Fraction(other, own) if own else INF
 
     def pairs(self) -> list[tuple[int, int]]:
         """All ordered pairs of distinct agents, lexicographically."""
@@ -120,31 +128,14 @@ def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]
 
 
 def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
-    n = instance.agent_count
-    weights: dict[tuple[int, int], ExtendedRational] = {
-        (i, j): Fraction(0) for i in range(n) for j in range(n) if i != j
-    }
-    for i, j, k, num, den in _value_edges(_value_matrix(instance, allocation)):
-        weights[(i, j)] = INF if k else Fraction(num, den)
-    return EnvyRatioGraph(n, weights)
+    return EnvyRatioGraph(tuple(map(tuple, _value_matrix(instance, allocation))))
 
 
-def _graph_edges(graph: EnvyRatioGraph) -> list[Edge]:
-    """The graph's positive weights as integer edges, in `pairs()` order."""
-    edges = []
-    for i, j in graph.pairs():
-        w = graph.weight(i, j)
-        if is_infinite(w):
-            edges.append((i, j, 1, 1, 1))
-        elif w > 0:
-            edges.append((i, j, 0, w.numerator, w.denominator))
-    return edges
-
-
-def _value_edges(values: list[list[int]]) -> list[Edge]:
+def _value_edges(values: Sequence[Sequence[int]]) -> list[Edge]:
     """The envy-ratio edges of a value matrix values[i][j] = v_i(B_j), in
-    `pairs()` order: the same weights as `build_envy_ratio_graph`, kept as
-    the unreduced integers other/own, with no graph built."""
+    `pairs()` order: the positive weights of `EnvyRatioGraph.weight`, kept
+    as the unreduced integers other/own. The one front end of
+    `_relax_max_product`."""
     edges = []
     for i, row in enumerate(values):
         own = row[i]
@@ -235,7 +226,7 @@ def _predecessor_path(preds: list[int | None], agent: int) -> list[int]:
 def find_improving_cycle(graph: EnvyRatioGraph) -> Cycle | None:
     """Some directed cycle whose exact weight product exceeds 1, if any."""
     try:
-        _relax_max_product(graph.agent_count, _graph_edges(graph))
+        _relax_max_product(graph.agent_count, _value_edges(graph.values))
     except ImprovingCycleExists as found:
         return found.cycle
     return None
@@ -246,7 +237,7 @@ def envy_ranks(graph: EnvyRatioGraph) -> EnvyRanks:
 
     Raises ImprovingCycleExists, naming a cycle, on a graph that has one.
     """
-    return _relax_max_product(graph.agent_count, _graph_edges(graph))[0]
+    return _relax_max_product(graph.agent_count, _value_edges(graph.values))[0]
 
 
 def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
@@ -255,7 +246,7 @@ def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
     Returns [agent] alone when the empty path is maximal. Raises
     ImprovingCycleExists on graphs where ranks are undefined.
     """
-    preds = _relax_max_product(graph.agent_count, _graph_edges(graph))[1]
+    preds = _relax_max_product(graph.agent_count, _value_edges(graph.values))[1]
     return _predecessor_path(preds, agent)
 
 

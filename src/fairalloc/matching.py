@@ -112,10 +112,10 @@ def _apply_path_move(
 
 
 def _find_pool_violation(
-    instance: Instance, allocation: Allocation, ranks: EnvyRanks
+    instance: Instance, allocation: Allocation, values: list[list[int]], ranks: EnvyRanks
 ) -> tuple[int, int] | None:
-    """Smallest (agent, remaining item) with rank * value > own value, both
-    read from the agent's row of `Instance.scaled_rows`.
+    """Smallest (agent, remaining item) with rank * value > own value, read
+    from the agent's row of `Instance.scaled_rows` and values[agent][agent].
 
     Decided in integers: a value v breaks the bound when v * num > bound,
     with (num, bound) = (rank.numerator, own * rank.denominator) for a
@@ -130,8 +130,7 @@ def _find_pool_violation(
         if is_infinite(rank):
             num, bound = 1, 0
         else:
-            own = sum(row[g] for g in allocation.bundles[agent])
-            num, bound = rank.numerator, own * rank.denominator
+            num, bound = rank.numerator, values[agent][agent] * rank.denominator
         if max((row[item] for item in pool), default=0) * num <= bound:
             continue
         for item in pool:
@@ -144,12 +143,12 @@ def _certify_or_move(
     instance: Instance, allocation: Allocation
 ) -> EnvyRanks | Allocation:
     """The certified envy ranks, or the repair loop's next allocation."""
-    edges = _value_edges(_value_matrix(instance, allocation))
+    values = _value_matrix(instance, allocation)
     try:
-        ranks, preds = _relax_max_product(instance.agent_count, edges)
+        ranks, preds = _relax_max_product(instance.agent_count, _value_edges(values))
     except ImprovingCycleExists as found:
         return rotate_bundles(allocation, found.cycle)
-    violation = _find_pool_violation(instance, allocation, ranks)
+    violation = _find_pool_violation(instance, allocation, values, ranks)
     if violation is None:
         return ranks
     agent, item = violation

@@ -113,7 +113,7 @@ class Instance:
             for v in row:
                 if not isinstance(v, Fraction):
                     raise InvalidInstance(f"valuation {v!r} is not a Fraction")
-                if v < 0:
+                if v.numerator < 0:  # a Fraction's denominator is positive
                     raise InvalidInstance(f"negative valuation {v}")
 
     @classmethod

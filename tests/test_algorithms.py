@@ -678,11 +678,31 @@ class TestRefinementChecks:
             outcome = refined_check_outcome(instance, state)
             assert outcome == reference_check_outcome(instance, state)
             failures.append(outcome[1])
-        # The global EFR check cannot fail once every group factor holds:
-        # each group's factor is at least sqrt(3) - 1.
+        # With every agent in a group, the global EFR check cannot fail once
+        # every group factor holds: each group's factor is at least sqrt(3) - 1.
         for name in (None, "refine-g1-full-fairness", "refine-g2-factor",
                      "refine-g3-factor", "refine-remaining-bounds"):
             assert name in failures, name
+
+    def test_an_agent_outside_every_group_enters_the_global_check(self):
+        """Agent 0 is in no group; its EFR ratio against {1, 2} is
+        1 / (10 * 1/2) = 1/5 < sqrt(3) - 1, so every group check passes and
+        the global one fails."""
+        instance = Instance.from_rows([[1, 5, 5, 0], [1, 5, 5, 0]])
+        allocation = Allocation.of([[0], [1, 2]], 4)
+        groups = AgentGroups(EFR, frozenset({1}), frozenset())
+        state = RefinementState(allocation, groups, (0, 1))
+        outcome = refined_check_outcome(instance, state)
+        assert outcome == reference_check_outcome(instance, state)
+        assert outcome == (
+            [
+                InvariantChecked("refine-g1-full-fairness", True),
+                InvariantChecked("refine-g2-factor", True),
+                InvariantChecked("refine-g3-factor", True),
+                InvariantChecked("refine-global-factor", False),
+            ],
+            "refine-global-factor",
+        )
 
     def test_wrong_decision_rows_change_no_check(self):
         """The checks scale their own integers from the `Fraction`s: with the

@@ -26,7 +26,6 @@ from fairalloc import (
 )
 from fairalloc.envy import (
     _cycle_from_predecessors,
-    _graph_edges,
     _relax_max_product,
     _value_edges,
     _value_matrix,
@@ -76,6 +75,47 @@ class TestGraphConstruction:
         instance2 = Instance.from_rows([[0, 5], [1, 1]])
         graph2 = build_envy_ratio_graph(instance2, Allocation.of([[0], [1]], 2))
         assert graph2.weight(0, 1) == INF
+
+    def test_weights_are_bundle_value_ratios(self):
+        """weight(i, j) is v_i(B_j) / v_i(B_i) in `Fraction`s, INF when only
+        the own bundle is worthless and 0 when the other is, on partial
+        multi-item allocations; scaling each row by its own positive
+        rational changes no weight."""
+        rng = random.Random(4242)
+        seen = {"finite": 0, "infinite": 0, "zero": 0}
+        for _ in range(150):
+            n, m = rng.randint(2, 5), rng.randint(2, 9)
+            rows = [
+                [
+                    Fraction(0) if rng.random() < 0.3
+                    else rng.choice((
+                        Fraction(rng.randint(1, 30), rng.randint(1, 9)),
+                        Fraction(10**40 + rng.randint(0, 3), 7),
+                    ))
+                    for _ in range(m)
+                ]
+                for _ in range(n)
+            ]
+            owners = [rng.randrange(-1, n) for _ in range(m)]
+            allocation = Allocation.of(
+                [[g for g in range(m) if owners[g] == i] for i in range(n)], m
+            )
+            instance = Instance.from_rows(rows)
+            factors = [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in rows]
+            scaled = Instance.from_rows(
+                [[v * f for v in row] for row, f in zip(rows, factors)]
+            )
+            graph = build_envy_ratio_graph(instance, allocation)
+            scaled_graph = build_envy_ratio_graph(scaled, allocation)
+            assert graph.agent_count == scaled_graph.agent_count == n
+            for i, j in graph.pairs():
+                own = bundle_value(instance, i, allocation.bundles[i])
+                other = bundle_value(instance, i, allocation.bundles[j])
+                expected = Fraction(0) if not other else other / own if own else INF
+                assert graph.weight(i, j) == expected
+                assert scaled_graph.weight(i, j) == expected
+                seen["zero" if not other else "finite" if own else "infinite"] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestEnvyEdges:
@@ -325,10 +365,11 @@ class TestIntegerRelaxation:
                 expected = reference_relaxation(graph)
                 value_edges = _value_edges(_value_matrix(instance, allocation))
                 assert kernel_outcome(n, value_edges) == expected
-                assert kernel_outcome(n, _graph_edges(graph)) == expected
                 found_cycle = expected[0] == "cycle"
                 seen["cycle" if found_cycle else "ranks"] += 1
-                seen["infinite edge"] += INF in graph.weights.values()
+                seen["infinite edge"] += any(
+                    graph.weight(i, j) == INF for i, j in graph.pairs()
+                )
                 seen["infinite rank"] += not found_cycle and INF in expected[0]
         assert min(seen.values()) >= 30, seen
 

@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+top-level function or class goes unused.
 
-`__init__.py` is skipped: its imports are the public re-exports. An import
-kept on purpose carries `# noqa: F401` on its own line.
+`__init__.py` is skipped by the import guard: its imports are the public
+re-exports. An import kept on purpose carries `# noqa: F401` on its own line.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairalloc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +49,56 @@ def test_the_guard_flags_only_unused_names():
         "np.zeros(gcd(4, 6))\n"
     )
     assert unused_imports(source) == ["os (line 2)", "log (line 7)"]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """`_`-prefixed top-level defs and classes that no other top-level
+    statement of any module reads, by name, attribute or import, as
+    'module.name'. A def that only calls itself stays dead."""
+    defined: list[tuple[str, str, ast.stmt]] = []
+    statements: list[ast.stmt] = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            statements.append(node)
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((module, node.name, node))
+
+    def reads(node: ast.stmt) -> set[str]:
+        names = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.name)
+        return names
+
+    read_by = [(node, reads(node)) for node in statements]
+    return [
+        f"{module}.{name}"
+        for module, name, definition in defined
+        if not any(name in names for node, names in read_by if node is not definition)
+    ]
+
+
+def test_no_dead_private_names():
+    sources = {path.stem: path.read_text() for path in ALL_MODULES}
+    assert dead_private_names(sources) == []
+
+
+def test_the_dead_name_guard_flags_only_unread_private_names():
+    sources = {
+        "a": (
+            "def _used():\n    pass\n"
+            "def _dead():\n    return _dead()\n"
+            "class _Helper:\n    pass\n"
+            "def public():\n    return _used()\n"
+        ),
+        "b": "from .a import _Helper\nimport a\nx = a._used\n",
+    }
+    assert dead_private_names(sources) == ["a._dead"]

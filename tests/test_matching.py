@@ -17,7 +17,7 @@ from fairalloc import (
     topological_order,
     verify_nsw_certificate,
 )
-from fairalloc.envy import EnvyRanks, product
+from fairalloc.envy import EnvyRanks, _value_matrix, product
 from fairalloc.files import random_instances
 from fairalloc.matching import _find_pool_violation, lexicographic_objective
 from fairalloc.model import bundle_value
@@ -219,7 +219,8 @@ class TestPoolViolation:
                     ranks.append(Fraction(rng.randint(4, 12), 4))
             ranks = EnvyRanks(tuple(ranks))
             expected = reference_pool_violation(instance, allocation, ranks)
-            assert _find_pool_violation(instance, allocation, ranks) == expected
+            values = _value_matrix(instance, allocation)
+            assert _find_pool_violation(instance, allocation, values, ranks) == expected
             found += expected is not None
         assert ties > 100 and 150 < found < 450
 
