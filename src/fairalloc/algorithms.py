@@ -38,14 +38,18 @@ from .envy import (
     _envy_cycle_in_masks,
     _envy_mask,
     _on_cycle,
+    _strict_envy_pairs,
     _value_matrix,
     find_envy_cycle,  # noqa: F401 -- perfbench/spans.py times this binding
     rotate_bundles,
-    strict_envy_edges,
     topological_order,
 )
 from .errors import InfiniteRank, InternalGuaranteeViolated
-from .matching import nsw_matching, verify_nsw_certificate
+from .matching import (
+    _certified_matching,
+    nsw_matching,  # noqa: F401 -- perfbench/spans.py times this binding
+    verify_nsw_certificate,
+)
 from .model import (
     Allocation,
     FairnessNotion,
@@ -54,7 +58,6 @@ from .model import (
     Threshold,
     _own_ratios,
     bundle_value,
-    check_allocation,
     compare_scaled,
     fairness_factor,
     is_infinite,
@@ -226,21 +229,27 @@ class RefinementState:
 def _pick_pass(
     instance: Instance,
     allocation: Allocation,
+    values: list[list[int]],
     pool: list[int],
     members: frozenset[int],
     order: tuple[int, ...],
     label: str,
     trace: Trace,
 ) -> Allocation:
-    """One pick per member in `order`, each taken out of the sorted `pool`."""
+    """One pick per member in `order`, each taken out of the sorted `pool`;
+    a pick adds the item's entry of every row to the picker's column of
+    `values`."""
+    rows = instance.scaled_rows
     for agent in order:
         if agent not in members:
             continue
         if not pool:
             break  # pool exhausted: remaining picks are skipped
         # the first maximum: smallest index on ties
-        item = max(pool, key=instance.scaled_rows[agent].__getitem__)
+        item = max(pool, key=rows[agent].__getitem__)
         pool.remove(item)
+        for row, value_row in zip(rows, values):
+            value_row[agent] += row[item]
         allocation = allocation.with_item(agent, item)
         trace.append(Pick(agent, item, label))
     return allocation
@@ -257,13 +266,20 @@ def refine_step2(
     mode: the bottom group picks once. Agents whose turn finds an empty
     pool are skipped.
     """
-    if trace is None:
-        trace = []
+    values = _value_matrix(instance, state.allocation)
+    return _refine(instance, state, values, [] if trace is None else trace)
+
+
+def _refine(
+    instance: Instance, state: RefinementState, values: list[list[int]], trace: Trace
+) -> RefinementState:
+    """`refine_step2` on the state's value matrix `values`, which it keeps up
+    to date pick by pick."""
     allocation, groups, order = state.allocation, state.groups, state.order
     pool = sorted(allocation.remaining)
     for label, group in MODES[groups.mode].passes:
         allocation = _pick_pass(
-            instance, allocation, pool, groups.members[group], order, label, trace
+            instance, allocation, values, pool, groups.members[group], order, label, trace
         )
     return RefinementState(allocation, groups, order)
 
@@ -281,13 +297,15 @@ def envy_cycle_elimination(
     set), then let the smallest-index unenvied agent pick its best
     remaining item, smallest index on ties.
 
-    The envy graph is read from one integer matrix values[i][j] = v_i(B_j),
-    summed once on the rows of `Instance.scaled_rows` and then updated in
-    place: a pick adds the picked item's entry of row i to column `source`
-    of every row i, and a rotation permutes the cycle's columns as
-    `rotate_bundles` moves its bundles. The procedure only ever compares
-    entries of one row with each other (values[i][j] > values[i][i], and
-    the source's best pool item), so each row's own scale cancels.
+    The envy graph is read from one integer matrix values[i][j] = v_i(B_j)
+    on the rows of `Instance.scaled_rows`. This function sums it from the
+    allocation; in the pipeline it is threaded from the matching through
+    refinement instead (`_complete`). It is then updated in place: a pick
+    adds the picked item's entry of row i to column `source` of every row
+    i, and a rotation permutes the cycle's columns as `rotate_bundles`
+    moves its bundles. The procedure only ever compares entries of one row
+    with each other (values[i][j] > values[i][i], and the source's best
+    pool item), so each row's own scale cancels.
 
     The strict-envy edges are kept as one bitmask per agent, bit j of
     masks[i] set iff values[i][j] > values[i][i], and a pick updates them
@@ -304,14 +322,24 @@ def envy_cycle_elimination(
     rotation and every pick from the instance itself, in `Fraction`s, so a
     wrong matrix update cannot certify itself.
     """
-    if trace is None:
-        trace = []
-    check_allocation(instance, allocation)
+    values = _value_matrix(instance, allocation)
+    return _complete(
+        instance, allocation, values, [] if trace is None else trace, running_check
+    )
+
+
+def _complete(
+    instance: Instance,
+    allocation: Allocation,
+    values: list[list[int]],
+    trace: Trace,
+    running_check: tuple[FairnessNotion, Threshold] | None,
+) -> Allocation:
+    """`envy_cycle_elimination` from the allocation's value matrix `values`."""
     pool = sorted(allocation.remaining)
-    if not pool:  # refinement often empties it: build no matrix then
+    if not pool:  # refinement often empties it
         return allocation
     rows = instance.scaled_rows
-    values = _value_matrix(instance, allocation)
     masks = [_envy_mask(row, i) for i, row in enumerate(values)]
 
     def check_running(tag: str) -> None:
@@ -419,7 +447,9 @@ def _solve(
     threshold = MODES[mode].threshold
     trace: Trace = []
 
-    result = nsw_matching(instance)
+    # values[i][j] = v_i(B_j): built by the matching's last certify step and
+    # kept up to date by every refinement and completion step after it
+    result, values = _certified_matching(instance)
     trace.append(MatchingDone(result.allocation, result.ranks))
     if check:
         _check(
@@ -431,21 +461,16 @@ def _solve(
     groups = _partition_groups(result.ranks, mode)
     trace.append(GroupsAssigned(groups))
 
-    order = topological_order(
-        instance.agent_count, strict_envy_edges(instance, result.allocation)
-    )
+    order = topological_order(instance.agent_count, _strict_envy_pairs(values))
 
-    state = refine_step2(
-        instance, RefinementState(result.allocation, groups, order), trace
+    state = _refine(
+        instance, RefinementState(result.allocation, groups, order), values, trace
     )
     if check:
         _check_refined(instance, state, trace)
 
-    allocation = envy_cycle_elimination(
-        instance,
-        state.allocation,
-        trace,
-        running_check=(mode, threshold) if check else None,
+    allocation = _complete(
+        instance, state.allocation, values, trace, (mode, threshold) if check else None
     )
 
     report = fairness_factor(instance, allocation, mode)

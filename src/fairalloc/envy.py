@@ -20,7 +20,9 @@ the fractions. A cycle through an infinite edge is then improving like any
 other, and a rank with k > 0 reads back as INF. Every caller reads its edges
 from an integer value matrix with `_value_edges`: the matching from the
 matrix it has just summed, the public graph queries from the matrix an
-`EnvyRatioGraph` holds.
+`EnvyRatioGraph` holds. `_value_matrix` is the one place a matrix is summed
+from bundles; the solvers sum one per matching step and keep the last one up
+to date through the order step, refinement and completion.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
 iff values[i][j] > values[i][i] (`_envy_mask`). There is one strict-envy
@@ -119,12 +121,22 @@ def _canonical(cycle: list[int]) -> Cycle:
 
 
 def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]:
-    """values[i][j] = v_i(bundle_j) on agent i's scaled row, exactly."""
+    """values[i][j] = v_i(bundle_j) on agent i's scaled row, exactly.
+
+    One walk over each row: the allocated items are listed once as (item,
+    owner) pairs, and each adds its entry of the row to its owner's column.
+    Pool items are never read.
+    """
     check_allocation(instance, allocation)
-    return [
-        [sum(row[g] for g in bundle) for bundle in allocation.bundles]
-        for row in instance.scaled_rows
-    ]
+    n = allocation.agent_count
+    owned = [(item, j) for j, bundle in enumerate(allocation.bundles) for item in bundle]
+    values = []
+    for row in instance.scaled_rows:
+        sums = [0] * n
+        for item, j in owned:
+            sums[j] += row[item]
+        values.append(sums)
+    return values
 
 
 def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
@@ -281,13 +293,16 @@ def topological_order(
 
 def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[int, int]]:
     """Pairs (i, j) where i strictly prefers j's bundle to its own."""
-    n = instance.agent_count
-    values = _value_matrix(instance, allocation)
+    return _strict_envy_pairs(_value_matrix(instance, allocation))
+
+
+def _strict_envy_pairs(values: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
+    """The pairs (i, j) with values[i][j] > values[i][i] of a value matrix."""
     return {
         (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and values[i][j] > values[i][i]
+        for i, row in enumerate(values)
+        for j, value in enumerate(row)
+        if value > row[i]  # never for j == i
     }
 
 

@@ -3,7 +3,9 @@
 The matching runs in two phases. A floating-point warm start solves
 maximum-weight bipartite matching on log values (zero values get a sentinel
 weight low enough that assignments are ranked first by how many agents end
-up with a positive value). An exact repair loop then fixes anything the
+up with a positive value). Each distinct value p/q has its log
+math.log(p) - math.log(q) computed once, so the floats are exactly those of
+a value-by-value table. An exact repair loop then fixes anything the
 floats got wrong. Every iteration is one certify-or-move step: a single
 max-product relaxation over the envy ratios either certifies the two
 properties every later step relies on,
@@ -20,6 +22,8 @@ integers only: each envy ratio is an edge (k, num, den), meaning
 inf**k * num/den, read straight from the integer value matrix on
 `Instance.scaled_rows` (other/own as (0, other, own), or (1, 1, 1) toward a
 positively valued bundle when own is 0), so no `EnvyRatioGraph` is built.
+The solvers keep the matrix of the certified matching (`_certified_matching`)
+and update it through the rest of the solve.
 
 Each repair move strictly increases the lexicographic objective (number of
 agents with positive value, then the product of those values), so the loop
@@ -69,26 +73,47 @@ def lexicographic_objective(instance: Instance, allocation: Allocation) -> Objec
     return count, prod
 
 
-def _warm_start(instance: Instance) -> Allocation:
-    """Float log-weight matching; zero values carry a count-dominating sentinel."""
-    n, m = instance.agent_count, instance.item_count
-    logs = [
-        [
-            math.log(v.numerator) - math.log(v.denominator) if v.numerator else None
-            for v in row
-        ]
-        for row in instance.valuations
-    ]
-    finite = [x for row in logs for x in row if x is not None]
+class _LogMemo(dict):
+    """math.log(p) - math.log(q) per distinct (p, q), computed on first use;
+    NaN marks a zero value."""
+
+    def __missing__(self, ratio: tuple[int, int]) -> float:
+        p, q = ratio
+        log = self[ratio] = math.log(p) - math.log(q) if p else math.nan
+        return log
+
+
+def _log_weights(instance: Instance) -> np.ndarray:
+    """The warm start's weights: log v = math.log(p) - math.log(q) for each
+    value v = p/q, and a sentinel below every positive weight by more than n
+    times their spread for each zero value, so assignments rank first by how
+    many agents get a positive value.
+
+    Each distinct `as_integer_ratio()` is taken once through `_LogMemo`, with
+    the same two `math.log` calls and subtraction as per value, so every
+    float is bit-identical to the per-value table. The spread is read from
+    the distinct logs, which have the same minimum and maximum.
+    """
+    memo = _LogMemo()
+    log_of, ratio_of = memo.__getitem__, Fraction.as_integer_ratio
+    weights = np.array(
+        [list(map(log_of, map(ratio_of, row))) for row in instance.valuations],
+        dtype=float,
+    )
+    finite = [log for log in memo.values() if not math.isnan(log)]
     if finite:
         lo, hi = min(finite), max(finite)
-        sentinel = lo - (n * (hi - lo) + 1.0)
+        sentinel = lo - (instance.agent_count * (hi - lo) + 1.0)
     else:
         sentinel = -1.0
-    weights = np.array(
-        [[x if x is not None else sentinel for x in row] for row in logs], dtype=float
-    )
-    rows, cols = linear_sum_assignment(weights, maximize=True)
+    weights[np.isnan(weights)] = sentinel
+    return weights
+
+
+def _warm_start(instance: Instance) -> Allocation:
+    """Float log-weight matching on `_log_weights`."""
+    n, m = instance.agent_count, instance.item_count
+    rows, cols = linear_sum_assignment(_log_weights(instance), maximize=True)
     bundles: list[frozenset[int]] = [frozenset()] * n
     for agent, item in zip(rows, cols):
         bundles[agent] = frozenset({int(item)})
@@ -140,10 +165,10 @@ def _find_pool_violation(
 
 
 def _certify_or_move(
-    instance: Instance, allocation: Allocation
+    instance: Instance, allocation: Allocation, values: list[list[int]]
 ) -> EnvyRanks | Allocation:
-    """The certified envy ranks, or the repair loop's next allocation."""
-    values = _value_matrix(instance, allocation)
+    """The certified envy ranks, or the repair loop's next allocation, from
+    the allocation's value matrix `values`."""
     try:
         ranks, preds = _relax_max_product(instance.agent_count, _value_edges(values))
     except ImprovingCycleExists as found:
@@ -157,19 +182,31 @@ def _certify_or_move(
 
 def nsw_matching(instance: Instance) -> NswMatchingResult:
     """Certified one-item-per-agent allocation (see module docstring)."""
+    return _certified_matching(instance)[0]
+
+
+def _certified_matching(
+    instance: Instance,
+) -> tuple[NswMatchingResult, list[list[int]]]:
+    """`nsw_matching`'s result plus the value matrix of its matching, the
+    one the last certify-or-move step built: the solvers keep it up to date
+    from there instead of summing the bundles again."""
     if instance.item_count < instance.agent_count:
         raise InstanceTooSmall(
             f"need at least {instance.agent_count} items, got {instance.item_count}"
         )
     allocation = _warm_start(instance)
+    objective: Objective | None = None  # of `allocation`, once a move needs it
     while True:
-        step = _certify_or_move(instance, allocation)
+        values = _value_matrix(instance, allocation)
+        step = _certify_or_move(instance, allocation, values)
         if isinstance(step, EnvyRanks):
-            return NswMatchingResult(allocation, step)
-        before = lexicographic_objective(instance, allocation)
+            return NswMatchingResult(allocation, step), values
+        if objective is None:
+            objective = lexicographic_objective(instance, allocation)
         after = lexicographic_objective(instance, step)
-        assert after > before, "a repair move must improve the objective"
-        allocation = step
+        assert after > objective, "a repair move must improve the objective"
+        allocation, objective = step, after
 
 
 def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
@@ -177,4 +214,5 @@ def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
     check_allocation(instance, allocation)
     if any(len(bundle) != 1 for bundle in allocation.bundles):
         raise InvalidAllocation("certificate verification needs one item per agent")
-    return isinstance(_certify_or_move(instance, allocation), EnvyRanks)
+    values = _value_matrix(instance, allocation)
+    return isinstance(_certify_or_move(instance, allocation, values), EnvyRanks)

@@ -41,7 +41,7 @@ from fairalloc.algorithms import (
     SourcePick,
     _check_refined,
 )
-from fairalloc.envy import EnvyRanks
+from fairalloc.envy import EnvyRanks, _value_matrix
 from fairalloc.files import (
     GenSpec,
     allocation_to_json,
@@ -342,6 +342,87 @@ class TestCompletionWork:
         assert picks > 0
         assert not any(isinstance(e, CycleRotated) for e in trace)
         assert counts == {"search": 1, "mask": instance.agent_count + picks}
+
+    def test_one_matrix_build_per_certify_step_and_none_after_the_matching(
+        self, monkeypatch
+    ):
+        """The value matrix is summed once per certify-or-move step of the
+        matching. The order step, refinement and completion read and update
+        that matrix, so no bundle is summed again after the matching."""
+        import fairalloc.algorithms as algorithms
+        import fairalloc.envy as envy
+        import fairalloc.matching as matching
+
+        counts = {}
+        build, step, match = (
+            envy._value_matrix, matching._certify_or_move, matching._certified_matching
+        )
+
+        def counted_build(*args):
+            counts["matrix"] += 1
+            return build(*args)
+
+        def counted_step(*args):
+            counts["step"] += 1
+            return step(*args)
+
+        def counted_matching(*args):
+            result = match(*args)
+            counts["matrix at matching"] = counts["matrix"]
+            return result
+
+        for module in (envy, matching, algorithms):
+            monkeypatch.setattr(module, "_value_matrix", counted_build)
+        monkeypatch.setattr(matching, "_certify_or_move", counted_step)
+        monkeypatch.setattr(algorithms, "_certified_matching", counted_matching)
+        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        for solver in (solve_efr, solve_efx):
+            counts.update({"matrix": 0, "step": 0, "matrix at matching": None})
+            _, trace = solver(instance, check=False)
+            assert any(isinstance(e, (Pick, SourcePick)) for e in trace)
+            assert counts["step"] >= 1
+            assert counts == {
+                "matrix": counts["step"], "step": counts["step"],
+                "matrix at matching": counts["step"],
+            }
+
+    def test_completion_starts_from_the_refined_allocations_matrix(self, monkeypatch):
+        """The matrix threaded from the matching through the order step and
+        refinement equals the one summed afresh from the refined allocation,
+        on random p/q instances with zeros, ties and a pool left over."""
+        import fairalloc.algorithms as algorithms
+
+        starts = []
+        complete = algorithms._complete
+
+        def recorded(instance, allocation, values, *rest):
+            starts.append((instance, allocation, [row[:] for row in values]))
+            return complete(instance, allocation, values, *rest)
+
+        monkeypatch.setattr(algorithms, "_complete", recorded)
+        rng = random.Random(1019)
+        for trial in range(100):
+            n = rng.randint(2, 10)
+            m = rng.randint(2 * n, 5 * n)
+            top, den = (2, 1) if trial % 3 == 0 else (60, 9)
+            instance = Instance.from_rows(
+                [
+                    [
+                        0 if rng.random() < 0.2
+                        else Fraction(rng.randint(1, top), rng.randint(1, den))
+                        for _ in range(m)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            for solver in (solve_efr, solve_efx):
+                solver(instance, check=trial % 2 == 0)
+        assert len(starts) == 200
+        with_pool = 0
+        for instance, allocation, values in starts:
+            assert values == _value_matrix(instance, allocation)
+            with_pool += bool(allocation.remaining)
+        assert with_pool > 100
 
 
 def run_bytes(run):
@@ -735,4 +816,40 @@ class TestGoldenTrace:
                 digest.update(trace_to_lines(trace).encode())
         assert digest.hexdigest() == (
             "ede0989055a2873edfdde63b1cf5ff54eedc16d1cf0f3110f9d7666174e2a192"
+        )
+
+    def test_large_checks_off_digest(self):
+        """Allocations and full traces of larger solves with checks off, the
+        path the benchmark's large workloads take: integer instances at
+        n = 20, 40, 80 (m = 3n), and p/q instances with n >= 20 whose
+        denominators reach the float warm start (the last one with many
+        repeated values), most with a pool left over for EFR's completion.
+        Recorded before the value matrix was threaded through the solve."""
+        instances = [
+            generate_instance(GenSpec(n, 3 * n, 0, 100, Fraction(1, 10), s))
+            for n in (20, 40, 80)
+            for s in (1, 2)
+        ]
+        rng = random.Random(20261019)
+        for n, m, top, den in ((20, 60, 60, 12), (24, 100, 9, 4), (20, 100, 3, 2)):
+            instances.append(
+                Instance.from_rows(
+                    [
+                        [
+                            0 if rng.random() < 0.15
+                            else Fraction(rng.randint(1, top), rng.randint(1, den))
+                            for _ in range(m)
+                        ]
+                        for _ in range(n)
+                    ]
+                )
+            )
+        digest = hashlib.sha256()
+        for instance in instances:
+            for solver in (solve_efr, solve_efx):
+                allocation, trace = solver(instance, check=False)
+                digest.update(allocation_to_json(allocation).encode())
+                digest.update(trace_to_lines(trace).encode())
+        assert digest.hexdigest() == (
+            "6c05012e51752298b8406f156db5b00ffbcb072aebdb298513cb4d280249097e"
         )

@@ -80,7 +80,8 @@ class TestGraphConstruction:
         """weight(i, j) is v_i(B_j) / v_i(B_i) in `Fraction`s, INF when only
         the own bundle is worthless and 0 when the other is, on partial
         multi-item allocations; scaling each row by its own positive
-        rational changes no weight."""
+        rational changes no weight. The matrix holds each bundle's sum on
+        the agent's scaled row, pool items left out."""
         rng = random.Random(4242)
         seen = {"finite": 0, "infinite": 0, "zero": 0}
         for _ in range(150):
@@ -108,6 +109,10 @@ class TestGraphConstruction:
             graph = build_envy_ratio_graph(instance, allocation)
             scaled_graph = build_envy_ratio_graph(scaled, allocation)
             assert graph.agent_count == scaled_graph.agent_count == n
+            assert graph.values == tuple(
+                tuple(sum(row[g] for g in bundle) for bundle in allocation.bundles)
+                for row in instance.scaled_rows
+            )
             for i, j in graph.pairs():
                 own = bundle_value(instance, i, allocation.bundles[i])
                 other = bundle_value(instance, i, allocation.bundles[j])

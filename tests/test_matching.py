@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,11 @@ from fairalloc import (
 )
 from fairalloc.envy import EnvyRanks, _value_matrix, product
 from fairalloc.files import random_instances
-from fairalloc.matching import _find_pool_violation, lexicographic_objective
+from fairalloc.matching import (
+    _find_pool_violation,
+    _log_weights,
+    lexicographic_objective,
+)
 from fairalloc.model import bundle_value
 from fairalloc.oracle import oracle_nsw_matching
 
@@ -139,6 +144,59 @@ class TestNswMatching:
                 through_infinite += 1
         # most runs start from a graph with infinite edges and make moves
         assert through_infinite > 50
+
+
+def per_value_log_weights(instance):
+    """The warm start's weight table computed value by value: math.log(p) -
+    math.log(q) for each p/q, and for each zero the sentinel below the
+    positive weights by more than n times their spread, or -1.0 when every
+    value is zero."""
+    logs = [
+        [
+            math.log(v.numerator) - math.log(v.denominator) if v.numerator else None
+            for v in row
+        ]
+        for row in instance.valuations
+    ]
+    finite = [x for row in logs for x in row if x is not None]
+    if finite:
+        lo, hi = min(finite), max(finite)
+        sentinel = lo - (instance.agent_count * (hi - lo) + 1.0)
+    else:
+        sentinel = -1.0
+    return [[sentinel if x is None else x for x in row] for row in logs]
+
+
+class TestWarmStartWeights:
+    """`_log_weights` takes each distinct p/q once; every float must equal
+    the per-value table's, with `==`, or the warm start could change."""
+
+    def test_same_floats_as_the_per_value_table(self):
+        rng = random.Random(4)
+        families = {
+            "repeated p/q": lambda: Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+            "wide p/q": lambda: Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)),
+            "(10^40+r)/7": lambda: Fraction(10**40 + rng.randint(0, 40), 7),
+            "integers": lambda: Fraction(rng.randint(1, 100)),
+        }
+        for draw in families.values():
+            for _ in range(40):
+                n, m = rng.randint(1, 8), rng.randint(1, 20)
+                zeros = rng.choice([0, 0.3, 0.9])
+                instance = Instance.from_rows(
+                    [
+                        [0 if rng.random() < zeros else draw() for _ in range(m)]
+                        for _ in range(n)
+                    ]
+                )
+                weights = _log_weights(instance)
+                assert weights.shape == (n, m)
+                assert weights.tolist() == per_value_log_weights(instance)
+
+    def test_all_zero_instance_takes_the_fixed_sentinel(self):
+        instance = Instance.from_rows([[0] * 4] * 3)
+        assert _log_weights(instance).tolist() == [[-1.0] * 4] * 3
+        assert per_value_log_weights(instance) == [[-1.0] * 4] * 3
 
 
 class TestCertificate:
