@@ -37,8 +37,9 @@ from .envy import (
     EnvyRanks,
     _envy_cycle_in_masks,
     _envy_mask,
+    _envy_masks,
+    _mask_edges,
     _on_cycle,
-    _strict_envy_pairs,
     _value_matrix,
     find_envy_cycle,  # noqa: F401 -- perfbench/spans.py times this binding
     rotate_bundles,
@@ -226,33 +227,30 @@ class RefinementState:
     order: tuple[int, ...]
 
 
-def _pick_pass(
+def _take(
     instance: Instance,
-    allocation: Allocation,
     values: list[list[int]],
+    masks: list[int],
     pool: list[int],
-    members: frozenset[int],
-    order: tuple[int, ...],
-    label: str,
-    trace: Trace,
-) -> Allocation:
-    """One pick per member in `order`, each taken out of the sorted `pool`;
-    a pick adds the item's entry of every row to the picker's column of
-    `values`."""
+    agent: int,
+) -> tuple[int, bool]:
+    """The pick step of refinement and completion: the agent takes its first
+    best item of the sorted `pool` and adds the item's entry of every row to
+    its column of `values`. The column only grows, so another agent can only
+    gain bit `agent` and only the agent's own mask is recomputed: O(n).
+    Returns the item and whether anyone now envies the agent."""
     rows = instance.scaled_rows
-    for agent in order:
-        if agent not in members:
-            continue
-        if not pool:
-            break  # pool exhausted: remaining picks are skipped
-        # the first maximum: smallest index on ties
-        item = max(pool, key=rows[agent].__getitem__)
-        pool.remove(item)
-        for row, value_row in zip(rows, values):
-            value_row[agent] += row[item]
-        allocation = allocation.with_item(agent, item)
-        trace.append(Pick(agent, item, label))
-    return allocation
+    item = max(pool, key=rows[agent].__getitem__)  # first maximum: smallest index
+    pool.remove(item)
+    bit = 1 << agent
+    envied = False
+    for i, (row, value_row) in enumerate(zip(rows, values)):
+        value_row[agent] += row[item]
+        if value_row[agent] > value_row[i]:  # never for i == agent
+            masks[i] |= bit
+            envied = True
+    masks[agent] = _envy_mask(values[agent], agent)
+    return item, envied
 
 
 def refine_step2(
@@ -267,28 +265,34 @@ def refine_step2(
     pool are skipped.
     """
     values = _value_matrix(instance, state.allocation)
-    return _refine(instance, state, values, [] if trace is None else trace)
+    trace = [] if trace is None else trace
+    return _refine(instance, state, values, _envy_masks(values), trace)
 
 
 def _refine(
-    instance: Instance, state: RefinementState, values: list[list[int]], trace: Trace
+    instance: Instance,
+    state: RefinementState,
+    values: list[list[int]],
+    masks: list[int],
+    trace: Trace,
 ) -> RefinementState:
-    """`refine_step2` on the state's value matrix `values`, which it keeps up
-    to date pick by pick."""
+    """`refine_step2` on the state's value matrix `values` and envy masks
+    `masks`, which every pick (`_take`) keeps up to date."""
     allocation, groups, order = state.allocation, state.groups, state.order
     pool = sorted(allocation.remaining)
     for label, group in MODES[groups.mode].passes:
-        allocation = _pick_pass(
-            instance, allocation, values, pool, groups.members[group], order, label, trace
-        )
+        for agent in order:
+            if not pool:
+                break  # pool exhausted: remaining picks are skipped
+            if agent in groups.members[group]:
+                item, _ = _take(instance, values, masks, pool, agent)
+                allocation = allocation.with_item(agent, item)
+                trace.append(Pick(agent, item, label))
     return RefinementState(allocation, groups, order)
 
 
 def envy_cycle_elimination(
-    instance: Instance,
-    allocation: Allocation,
-    trace: Trace | None = None,
-    running_check: tuple[FairnessNotion, Threshold] | None = None,
+    instance: Instance, allocation: Allocation, trace: Trace | None = None
 ) -> Allocation:
     """Complete the allocation with the classic envy-graph procedure.
 
@@ -298,55 +302,50 @@ def envy_cycle_elimination(
     remaining item, smallest index on ties.
 
     The envy graph is read from one integer matrix values[i][j] = v_i(B_j)
-    on the rows of `Instance.scaled_rows`. This function sums it from the
-    allocation; in the pipeline it is threaded from the matching through
-    refinement instead (`_complete`). It is then updated in place: a pick
-    adds the picked item's entry of row i to column `source` of every row
-    i, and a rotation permutes the cycle's columns as `rotate_bundles`
-    moves its bundles. The procedure only ever compares entries of one row
-    with each other (values[i][j] > values[i][i], and the source's best
+    on the rows of `Instance.scaled_rows`, and its strict-envy edges from
+    one bitmask per agent, bit j of masks[i] set iff values[i][j] >
+    values[i][i]. This function sums both from the allocation; in the
+    pipeline they are threaded from the matching through refinement
+    instead (`_complete`). The procedure only ever compares entries of one
+    row with each other (values[i][j] > values[i][i], and the source's best
     pool item), so each row's own scale cancels.
 
-    The strict-envy edges are kept as one bitmask per agent, bit j of
-    masks[i] set iff values[i][j] > values[i][i], and a pick updates them
-    in O(n): column `source` only grows, so another agent can only gain
-    bit `source`, and only the source's own mask is recomputed. A rotation
+    A pick (`_take`) updates the matrix and the masks in O(n). A rotation
+    permutes the cycle's columns as `rotate_bundles` moves its bundles and
     recomputes every mask. The source is the lowest bit set in no mask.
     Before a pick the graph is acyclic; the pick adds edges into the source
     only and removes edges out of it only, so any cycle it closes passes
     through the source. The cycle search therefore runs after a pick only
     when the source is now envied and reaches itself along the masks;
     anywhere else it would return None.
-
-    With `running_check` set, the stated factor is re-verified after every
-    rotation and every pick from the instance itself, in `Fraction`s, so a
-    wrong matrix update cannot certify itself.
     """
     values = _value_matrix(instance, allocation)
-    return _complete(
-        instance, allocation, values, [] if trace is None else trace, running_check
-    )
+    trace = [] if trace is None else trace
+    return _complete(instance, allocation, values, _envy_masks(values), trace, None)
 
 
 def _complete(
     instance: Instance,
     allocation: Allocation,
     values: list[list[int]],
+    masks: list[int],
     trace: Trace,
-    running_check: tuple[FairnessNotion, Threshold] | None,
+    mode: FairnessNotion | None,
 ) -> Allocation:
-    """`envy_cycle_elimination` from the allocation's value matrix `values`."""
+    """`envy_cycle_elimination` from the allocation's value matrix `values`
+    and envy masks `masks`. With `mode` set, the mode's threshold factor is
+    re-verified from the instance itself, in `Fraction`s, after every rotation
+    and every pick, so a wrong matrix or mask update cannot certify itself."""
     pool = sorted(allocation.remaining)
     if not pool:  # refinement often empties it
         return allocation
-    rows = instance.scaled_rows
-    masks = [_envy_mask(row, i) for i, row in enumerate(values)]
 
     def check_running(tag: str) -> None:
-        if running_check is None:
+        if mode is None:
             return
-        notion, threshold = running_check
-        passed = meets_threshold(fairness_factor(instance, allocation, notion), threshold)
+        passed = meets_threshold(
+            fairness_factor(instance, allocation, mode), MODES[mode].threshold
+        )
         trace.append(InvariantChecked("completion-factor", passed))
         if not passed:
             raise InternalGuaranteeViolated(f"completion-factor after {tag}")
@@ -359,24 +358,15 @@ def _complete(
             for row in values:
                 for agent, value in zip(cycle, [row[j] for j in successors]):
                     row[agent] = value
-            masks = [_envy_mask(row, i) for i, row in enumerate(values)]
+            masks = _envy_masks(values)
             trace.append(CycleRotated(cycle))
             check_running("rotation")
         envied = 0
         for mask in masks:
             envied |= mask
         source = (~envied & (envied + 1)).bit_length() - 1  # lowest unset bit
-        item = max(pool, key=rows[source].__getitem__)  # first maximum: smallest index
-        pool.remove(item)
-        bit = 1 << source
-        search = False  # set once the pick gives the source an envier
-        for i, (row, value_row) in enumerate(zip(rows, values)):
-            value_row[source] += row[item]
-            if value_row[source] > value_row[i]:  # never for i == source
-                masks[i] |= bit
-                search = True
-        masks[source] = _envy_mask(values[source], source)
-        search = search and _on_cycle(masks, source)
+        item, envied_now = _take(instance, values, masks, pool, source)
+        search = envied_now and _on_cycle(masks, source)
         allocation = allocation.with_item(source, item)
         trace.append(SourcePick(source, item))
         check_running("pick")
@@ -461,16 +451,17 @@ def _solve(
     groups = _partition_groups(result.ranks, mode)
     trace.append(GroupsAssigned(groups))
 
-    order = topological_order(instance.agent_count, _strict_envy_pairs(values))
+    masks = _envy_masks(values)
+    order = topological_order(instance.agent_count, _mask_edges(masks))
 
     state = _refine(
-        instance, RefinementState(result.allocation, groups, order), values, trace
+        instance, RefinementState(result.allocation, groups, order), values, masks, trace
     )
     if check:
         _check_refined(instance, state, trace)
 
     allocation = _complete(
-        instance, state.allocation, values, trace, (mode, threshold) if check else None
+        instance, state.allocation, values, masks, trace, mode if check else None
     )
 
     report = fairness_factor(instance, allocation, mode)

@@ -22,17 +22,17 @@ from an integer value matrix with `_value_edges`: the matching from the
 matrix it has just summed, the public graph queries from the matrix an
 `EnvyRatioGraph` holds. `_value_matrix` is the one place a matrix is summed
 from bundles; the solvers sum one per matching step and keep the last one up
-to date through the order step, refinement and completion.
+to date through refinement and completion.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
-iff values[i][j] > values[i][i] (`_envy_mask`). There is one strict-envy
-cycle search, `_envy_cycle_in_masks`, a depth-first search on those masks;
-`envy_cycle_in` and `find_envy_cycle` build the masks and call it. Envy-cycle
-completion keeps its masks up to date pick by pick, and searches again after
-a pick only when `_on_cycle` finds the picking agent on a cycle: the graph
-was acyclic before the pick, and a pick only adds edges into the picking
-agent and only removes edges out of it, so every cycle it closes passes
-through that agent.
+iff values[i][j] > values[i][i] (`_envy_masks`). The solvers build the masks
+from the matching's matrix and keep them up to date from the order step on,
+which reads its edges off them (`_mask_edges`). There is one strict-envy
+cycle search, `_envy_cycle_in_masks`, a depth-first search on the masks.
+Completion searches again after a pick only when `_on_cycle` finds the
+picking agent on a cycle: the graph was acyclic before the pick, and a pick
+only adds edges into the picking agent and only removes edges out of it, so
+every cycle it closes passes through that agent.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicEnvyGraph, ImprovingCycleExists, InvalidAllocation
 from .model import (
@@ -268,12 +268,15 @@ def topological_order(
     """Order agents so every envy edge (i, j) puts i before j.
 
     Kahn's construction with a min-heap of ready agents, so the smallest
-    available index is always emitted first.
+    available index is always emitted first. An edge naming an agent outside
+    range(agent_count) raises ValueError.
     """
     edge_set = set(edges)
     successors: dict[int, list[int]] = {i: [] for i in range(agent_count)}
     in_degree = [0] * agent_count
     for i, j in sorted(edge_set):
+        if not (0 <= i < agent_count and 0 <= j < agent_count):
+            raise ValueError(f"edge {(i, j)} names an agent outside range({agent_count})")
         successors[i].append(j)
         in_degree[j] += 1
     ready = [i for i in range(agent_count) if in_degree[i] == 0]
@@ -293,17 +296,7 @@ def topological_order(
 
 def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[int, int]]:
     """Pairs (i, j) where i strictly prefers j's bundle to its own."""
-    return _strict_envy_pairs(_value_matrix(instance, allocation))
-
-
-def _strict_envy_pairs(values: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
-    """The pairs (i, j) with values[i][j] > values[i][i] of a value matrix."""
-    return {
-        (i, j)
-        for i, row in enumerate(values)
-        for j, value in enumerate(row)
-        if value > row[i]  # never for j == i
-    }
+    return set(_mask_edges(_envy_masks(_value_matrix(instance, allocation))))
 
 
 def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
@@ -320,10 +313,15 @@ def envy_cycle_in(values: Sequence[Sequence[Fraction | int]]) -> Cycle | None:
 
     Agent i envies j when values[i][j] > values[i][i]. A row is only ever
     compared within itself, so each row may be scaled by its own positive
-    factor. The matrix becomes one envy mask per agent (`_envy_mask`) and
+    factor. The matrix becomes one envy mask per agent (`_envy_masks`) and
     `_envy_cycle_in_masks` searches those.
     """
-    return _envy_cycle_in_masks([_envy_mask(row, i) for i, row in enumerate(values)])
+    return _envy_cycle_in_masks(_envy_masks(values))
+
+
+def _envy_masks(values: Sequence[Sequence[Fraction | int]]) -> list[int]:
+    """One `_envy_mask` per row of a value matrix."""
+    return [_envy_mask(row, i) for i, row in enumerate(values)]
 
 
 def _envy_mask(row: Sequence[Fraction | int], agent: int) -> int:
@@ -334,6 +332,15 @@ def _envy_mask(row: Sequence[Fraction | int], agent: int) -> int:
         if value > own:
             mask |= 1 << j
     return mask
+
+
+def _mask_edges(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The strict-envy pairs (i, j) of envy masks, in ascending order."""
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            yield i, low.bit_length() - 1
+            mask ^= low
 
 
 def _envy_cycle_in_masks(masks: Sequence[int]) -> Cycle | None:

@@ -41,7 +41,13 @@ from fairalloc.algorithms import (
     SourcePick,
     _check_refined,
 )
-from fairalloc.envy import EnvyRanks, _value_matrix
+from fairalloc.envy import (
+    EnvyRanks,
+    _envy_mask,
+    _value_matrix,
+    strict_envy_edges,
+    topological_order,
+)
 from fairalloc.files import (
     GenSpec,
     allocation_to_json,
@@ -338,10 +344,13 @@ class TestCompletionWork:
             monkeypatch.setattr(module, "_envy_mask", mask)
         instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
         _, trace = solve_efx(instance, check=False)
-        picks = sum(isinstance(e, SourcePick) for e in trace)
-        assert picks > 0
+        refine_picks = sum(isinstance(e, Pick) for e in trace)
+        source_picks = sum(isinstance(e, SourcePick) for e in trace)
+        assert refine_picks > 0 and source_picks > 0
         assert not any(isinstance(e, CycleRotated) for e in trace)
-        assert counts == {"search": 1, "mask": instance.agent_count + picks}
+        # the masks are built once, for the order step, then one per pick
+        masks = instance.agent_count + refine_picks + source_picks
+        assert counts == {"search": 1, "mask": masks}
 
     def test_one_matrix_build_per_certify_step_and_none_after_the_matching(
         self, monkeypatch
@@ -387,18 +396,25 @@ class TestCompletionWork:
             }
 
     def test_completion_starts_from_the_refined_allocations_matrix(self, monkeypatch):
-        """The matrix threaded from the matching through the order step and
-        refinement equals the one summed afresh from the refined allocation,
-        on random p/q instances with zeros, ties and a pool left over."""
+        """The matrix and the envy masks threaded from the matching through
+        refinement equal the ones built afresh from the refined allocation,
+        and the order step's order is the one read from the matching's
+        strict-envy edges, on random p/q instances with zeros, ties and a
+        pool left over."""
         import fairalloc.algorithms as algorithms
 
-        starts = []
-        complete = algorithms._complete
+        starts, orders = [], []
+        refine, complete = algorithms._refine, algorithms._complete
 
-        def recorded(instance, allocation, values, *rest):
-            starts.append((instance, allocation, [row[:] for row in values]))
-            return complete(instance, allocation, values, *rest)
+        def recorded_refine(instance, state, *rest):
+            orders.append((instance, state))
+            return refine(instance, state, *rest)
 
+        def recorded(instance, allocation, values, masks, *rest):
+            starts.append((instance, allocation, [row[:] for row in values], masks[:]))
+            return complete(instance, allocation, values, masks, *rest)
+
+        monkeypatch.setattr(algorithms, "_refine", recorded_refine)
         monkeypatch.setattr(algorithms, "_complete", recorded)
         rng = random.Random(1019)
         for trial in range(100):
@@ -417,12 +433,20 @@ class TestCompletionWork:
             )
             for solver in (solve_efr, solve_efx):
                 solver(instance, check=trial % 2 == 0)
-        assert len(starts) == 200
+        assert len(starts) == len(orders) == 200
         with_pool = 0
-        for instance, allocation, values in starts:
-            assert values == _value_matrix(instance, allocation)
+        for instance, allocation, values, masks in starts:
+            fresh = _value_matrix(instance, allocation)
+            assert values == fresh
+            assert masks == [_envy_mask(row, i) for i, row in enumerate(fresh)]
             with_pool += bool(allocation.remaining)
         assert with_pool > 100
+        with_edges = 0
+        for instance, state in orders:
+            edges = strict_envy_edges(instance, state.allocation)
+            assert state.order == topological_order(instance.agent_count, edges)
+            with_edges += bool(edges)
+        assert with_edges > 0
 
 
 def run_bytes(run):

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -392,6 +393,21 @@ class TestTopologicalOrder:
     def test_cycle_rejected(self):
         with pytest.raises(CyclicEnvyGraph):
             topological_order(2, {(0, 1), (1, 0)})
+
+    def test_out_of_range_agents_rejected(self):
+        """An edge naming an agent outside range(agent_count) is rejected by
+        name. A negative index must not alias an agent: -3 would be agent 0
+        of three, and {(1, 0), (0, -3)} would look cyclic."""
+        cases = [
+            ({(0, 5)}, (0, 5)),
+            ({(-1, 0)}, (-1, 0)),
+            ({(1, -3)}, (1, -3)),
+            ({(1, 0), (0, -3)}, (0, -3)),
+        ]
+        for edges, named in cases:
+            with pytest.raises(ValueError, match=re.escape(f"edge {named} ")):
+                topological_order(3, edges)
+        assert topological_order(3, {(2, 0), (0, 1)}) == (2, 0, 1)
 
 
 class TestEnvyCycles:

@@ -2,13 +2,16 @@
 top-level function or class goes unused.
 
 `__init__.py` is skipped by the import guard: its imports are the public
-re-exports. An import kept on purpose carries `# noqa: F401` on its own line.
+re-exports. An import kept on purpose carries `# noqa: F401` on its own line,
+and the only purpose allowed is a binding that `perfbench/spans.py` wraps:
+once a span no longer binds it, the import goes.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+from test_benchmark_contract import TARGETS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairalloc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -49,6 +52,45 @@ def test_the_guard_flags_only_unused_names():
         "np.zeros(gcd(4, 6))\n"
     )
     assert unused_imports(source) == ["os (line 2)", "log (line 7)"]
+
+
+def unbound_noqa_imports(
+    sources: dict[str, str], bindings: set[tuple[str, str]]
+) -> list[str]:
+    """Imports marked `# noqa: F401` whose (module, name) is not among the
+    bindings, as 'module.name (line n)'."""
+    unbound = []
+    for module, source in sources.items():
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    marked = "# noqa: F401" in lines[alias.lineno - 1]
+                    if marked and (module, name) not in bindings:
+                        unbound.append(f"{module}.{name} (line {alias.lineno})")
+    return unbound
+
+
+def test_noqa_imports_are_perfbench_bindings():
+    sources = {path.stem: path.read_text() for path in ALL_MODULES}
+    bindings = {binding for targets in TARGETS.values() for binding in targets}
+    assert unbound_noqa_imports(sources, bindings) == []
+
+
+def test_the_noqa_guard_flags_only_unbound_imports():
+    sources = {
+        "a": (
+            "from .b import (\n"
+            "    timed,  # noqa: F401 -- a span wraps it\n"
+            "    kept,  # noqa: F401 -- no span wraps it\n"
+            "    used,\n"
+            ")\n"
+        ),
+        "b": "import os  # noqa: F401\nimport sys as timed  # noqa: F401\n",
+    }
+    bindings = {("a", "timed"), ("b", "timed")}
+    assert unbound_noqa_imports(sources, bindings) == ["a.kept (line 3)", "b.os (line 1)"]
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
