@@ -57,8 +57,7 @@ from .model import (
     Instance,
     Surd,
     Threshold,
-    _own_ratios,
-    bundle_value,
+    _worst_rivals,
     compare_scaled,
     fairness_factor,
     is_infinite,
@@ -385,12 +384,14 @@ def _check(trace: Trace, name: str, passed: bool) -> None:
 def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> None:
     """Exact per-group guarantees at the end of the refinement step.
 
-    A group's factor f holds when own >= f * D_ij against every rival; with
-    own / D_ij = num / den from `model._own_ratios` that is num >= f * den,
-    and a pair with D_ij = 0 holds for any f. One walk over every agent's
-    ratios gives each group's verdict and the smallest ratio of all, which
-    the global check compares with the mode's threshold: an agent that no
-    group holds enters that check only.
+    A group's factor f holds when own >= f * D_ij against every rival,
+    that is, against the agent's worst rival; with its ratio
+    own / D_ij = num / den from `model._worst_rivals` that is
+    num >= f * den, and an agent whose every D_ij is 0 holds for any f. One
+    walk over the agents' worst ratios, n exact comparisons, gives each
+    group's verdict and the smallest ratio of all, which the global check
+    compares with the mode's threshold: an agent that no group holds enters
+    that check only. The pool bounds sum each own bundle in `Fraction`s.
     """
     allocation, groups = state.allocation, state.groups
     mode, spec = groups.mode, MODES[groups.mode]
@@ -398,7 +399,7 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
     group_of = {i: k for k, members in enumerate(groups.members) for i in members}
     held = [True] * len(spec.factors)
     low_num, low_den = 1, 0  # the smallest num / den so far; 1 / 0 is unbounded
-    for i, _, num, den in _own_ratios(instance, allocation, mode, range(len(rows))):
+    for i, _, num, den in _worst_rivals(instance, allocation, mode, range(len(rows))):
         k = group_of.get(i)
         if k is not None and held[k]:
             held[k] = compare_scaled(num, spec.factors[k], den) >= 0
@@ -417,9 +418,9 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
         not pool
         or all(  # own >= c * v for every pool item is own >= c * (the largest v)
             compare_scaled(
-                bundle_value(instance, i, allocation.bundles[i]),
+                sum(map(rows[i].__getitem__, allocation.bundles[i])),
                 bound,
-                max(rows[i][item] for item in pool),
+                max(map(rows[i].__getitem__, pool)),
             )
             >= 0
             for members, bound in zip(groups.members, spec.pool_bounds)

@@ -3,12 +3,14 @@
 The matching runs in two phases. A floating-point warm start solves
 maximum-weight bipartite matching on log values (zero values get a sentinel
 weight low enough that assignments are ranked first by how many agents end
-up with a positive value). Each distinct value p/q has its log
-math.log(p) - math.log(q) computed once, so the floats are exactly those of
-a value-by-value table. An exact repair loop then fixes anything the
-floats got wrong. Every iteration is one certify-or-move step: a single
-max-product relaxation over the envy ratios either certifies the two
-properties every later step relies on,
+up with a positive value). The log table is read from the decision rows
+`Instance.scaled_rows`: a scaled value x of a row with scale s is
+(x/g) / (s/g) in lowest terms, g = gcd(x, s), and each distinct x per
+distinct s has its log math.log(x/g) - math.log(s/g) computed once, so the
+floats are exactly those of a value-by-value table on the reduced p/q. An
+exact repair loop then fixes anything the floats got wrong. Every iteration
+is one certify-or-move step: a single max-product relaxation over the envy
+ratios either certifies the two properties every later step relies on,
 
   * the envy-ratio graph admits no improving cycle, and
   * rank_i * v_i(b) <= v_i(own bundle) for every agent i and remaining b,
@@ -74,12 +76,21 @@ def lexicographic_objective(instance: Instance, allocation: Allocation) -> Objec
 
 
 class _LogMemo(dict):
-    """math.log(p) - math.log(q) per distinct (p, q), computed on first use;
-    NaN marks a zero value."""
+    """For rows scaled by `scale`: the log of each distinct scaled value x,
+    math.log(p) - math.log(q) on x / scale = p / q in lowest terms, computed
+    on first use; NaN marks a zero value."""
 
-    def __missing__(self, ratio: tuple[int, int]) -> float:
-        p, q = ratio
-        log = self[ratio] = math.log(p) - math.log(q) if p else math.nan
+    def __init__(self, scale: int) -> None:
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, x: int) -> float:
+        if x:
+            g = math.gcd(x, self.scale)
+            log = math.log(x // g) - math.log(self.scale // g)
+        else:
+            log = math.nan
+        self[x] = log
         return log
 
 
@@ -89,18 +100,24 @@ def _log_weights(instance: Instance) -> np.ndarray:
     times their spread for each zero value, so assignments rank first by how
     many agents get a positive value.
 
-    Each distinct `as_integer_ratio()` is taken once through `_LogMemo`, with
-    the same two `math.log` calls and subtraction as per value, so every
-    float is bit-identical to the per-value table. The spread is read from
-    the distinct logs, which have the same minimum and maximum.
+    The table is read from `Instance.scaled_rows` and `Instance.row_scales`,
+    through one int-keyed `_LogMemo` per distinct row scale. A scaled value
+    x with scale s is p/q = (x/g) / (s/g), g = gcd(x, s), exactly the
+    reduced `Fraction`, and its log takes the same two `math.log` calls and
+    subtraction as per value, so every float is bit-identical to the
+    per-value table. The spread is read from the distinct logs, which have
+    the same minimum and maximum.
     """
-    memo = _LogMemo()
-    log_of, ratio_of = memo.__getitem__, Fraction.as_integer_ratio
-    weights = np.array(
-        [list(map(log_of, map(ratio_of, row))) for row in instance.valuations],
-        dtype=float,
-    )
-    finite = [log for log in memo.values() if not math.isnan(log)]
+    memos: dict[int, _LogMemo] = {}
+    table = []
+    for row, scale in zip(instance.scaled_rows, instance.row_scales):
+        if scale not in memos:
+            memos[scale] = _LogMemo(scale)
+        table.append(list(map(memos[scale].__getitem__, row)))
+    weights = np.array(table, dtype=float)
+    finite = [
+        log for memo in memos.values() for log in memo.values() if not math.isnan(log)
+    ]
     if finite:
         lo, hi = min(finite), max(finite)
         sentinel = lo - (instance.agent_count * (hi - lo) + 1.0)
@@ -156,7 +173,7 @@ def _find_pool_violation(
             num, bound = 1, 0
         else:
             num, bound = rank.numerator, values[agent][agent] * rank.denominator
-        if max((row[item] for item in pool), default=0) * num <= bound:
+        if max(map(row.__getitem__, pool), default=0) * num <= bound:
             continue
         for item in pool:
             if row[item] * num > bound:

@@ -4,19 +4,24 @@ All arithmetic is exact. Valuations are non-negative rationals
 (`fractions.Fraction`); the only non-rational value that ever appears is
 `math.inf`, used for unbounded fairness factors and infinite envy ratios.
 
-The fairness checks keep integers of their own: on each call `_own_ratios`
-scales every envier's `Fraction` row by the LCM of that row's denominators,
-apart from the solvers' cached `Instance.scaled_rows`, so a wrong decision
-row cannot certify its own output. Each ratio v_i(own) / D_ij is then one
-pair of integers, compared by cross-multiplying, and `fairness_factor`
-builds a single reduced `Fraction` at the end.
+Decisions and checks read the valuations in two separate forms. The
+solvers decide on `Instance.scaled_rows`, each row times its cached LCM of
+denominators (`Instance.row_scales`). The fairness checks keep integers of
+their own: on each call `_worst_rivals` scales every envier's `Fraction`
+row again, and reads neither cache, so a wrong decision row cannot certify
+its own output. It reduces each envier's row to one worst ratio
+v_i(own) / D_ij, a pair of integers; `fairness_factor` compares the n rows'
+ratios by cross-multiplying and builds a single reduced `Fraction` at the
+end.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -30,7 +35,8 @@ ExtendedRational = Fraction | float
 
 
 def is_infinite(x: ExtendedRational) -> bool:
-    return x == INF
+    # the type test first: `Fraction == float` runs in pure Python
+    return type(x) is float and x == INF
 
 
 class FairnessNotion(enum.Enum):
@@ -129,14 +135,19 @@ class Instance:
         return len(self.valuations[0])
 
     @functools.cached_property
+    def row_scales(self) -> tuple[int, ...]:
+        """The LCM of each agent's denominators: the factor `scaled_rows`
+        multiplies that agent's row by."""
+        return tuple(math.lcm(*(v.denominator for v in row)) for row in self.valuations)
+
+    @functools.cached_property
     def scaled_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each agent's row times the LCM of its denominators, as ints. The
+        """Each agent's row times its `row_scales` entry, as ints. The
         solvers' decisions read these; one positive factor per row changes
         none of them, since each compares values of one agent only."""
-        scales = [math.lcm(*(v.denominator for v in row)) for row in self.valuations]
         return tuple(
             tuple(v.numerator * (scale // v.denominator) for v in row)
-            for row, scale in zip(self.valuations, scales)
+            for row, scale in zip(self.valuations, self.row_scales)
         )
 
     def value(self, agent: int, item: int) -> Fraction:
@@ -260,64 +271,71 @@ class FairnessReport:
     witness: tuple[int, int] | None
 
 
-def _own_ratios(
+def _worst_rivals(
     instance: Instance,
     allocation: Allocation,
     notion: FairnessNotion,
     enviers: Iterable[int],
 ) -> Iterator[tuple[int, int, int, int]]:
-    """(i, j, num, den) with num / den = v_i(own) / D_ij exactly, den > 0.
+    """Each envier's worst rival, as (i, j, num, den) with num / den =
+    v_i(own) / D_ij exactly, den > 0: the smallest ratio of row i, and the
+    first rival j that attains it. At most one tuple per envier, in
+    `enviers` order; an envier whose every D_ij is 0 yields none.
 
     D_ij is the notion's comparison denominator for j's bundle, read by
     agent i: the bundle's value (EF), less its most (EF1) or least (EFX)
     valued item, or (k-1)/k of it for a k-item bundle (EFR, folded in as
     num = own*k, den = (k-1)*total). Every notion but EF removes an item
-    first, so a singleton leaves 0. Pairs with D_ij = 0 are skipped. Pairs
-    come in (i, j) order over `enviers`. Values are integers on agent i's
-    row scaled here, per call, from the `Fraction` valuations; one walk
-    over that row, through an item -> owner array, gives every bundle's
-    total, least and most valued item. Own values come from `bundle_value`.
+    first, so a singleton leaves 0, which imposes nothing.
+
+    Values are integers on agent i's row, scaled here on every call from
+    the `Fraction` valuations, apart from the solvers' cached rows. The
+    allocated items are listed once, bundle by bundle, with one slice per
+    nonempty bundle; each row then takes `sum` and `min` or `max` of every
+    slice, and its own slice's sum is the own value. EF, EF1 and EFX share
+    the numerator own, so the worst rival is the first with the largest
+    D_ij, or, when own is 0 and every ratio is 0, the first with D_ij > 0.
+    EFR cross-multiplies over the rival bundles of two items or more.
     """
+    if not isinstance(notion, FairnessNotion):
+        raise ValueError(f"unknown notion {notion!r}")
+    removed = {FairnessNotion.EF1: max, FairnessNotion.EFX: min}.get(notion)
     bundles = allocation.bundles
-    n = len(bundles)
-    sizes = [len(bundle) for bundle in bundles]
-    owner = [n] * allocation.item_count  # slot n collects the pool
-    for j, bundle in enumerate(bundles):
-        for g in bundle:
-            owner[g] = j
+    holders = [j for j, bundle in enumerate(bundles) if bundle]
+    slot_of = {j: s for s, j in enumerate(holders)}
+    items = [g for j in holders for g in bundles[j]]
+    sizes = [len(bundles[j]) for j in holders]
+    ends = list(itertools.accumulate(sizes))
+    slices = list(map(slice, [0, *ends], ends))
     for i in enviers:
-        row = instance.valuations[i]
-        ratios = [v.as_integer_ratio() for v in row]
-        scale = math.lcm(*(den for _, den in ratios))
-        ints = [num * (scale // den) for num, den in ratios]
-        own = bundle_value(instance, i, bundles[i])
-        own = own.numerator * scale // own.denominator  # exact: scale clears it
-        # values are >= 0 and at most the row's sum: the start of max and min
-        totals, highs, lows = [0] * (n + 1), [0] * (n + 1), [sum(ints)] * (n + 1)
-        for value, j in zip(ints, owner):
-            totals[j] += value
-            if value > highs[j]:
-                highs[j] = value
-            if value < lows[j]:
-                lows[j] = value
-        for j, size in enumerate(sizes):
-            if j == i or not size:
-                continue
-            total = totals[j]
-            if notion is FairnessNotion.EF:
-                num, den = own, total
-            elif size == 1:
-                continue
-            elif notion is FairnessNotion.EF1:
-                num, den = own, total - highs[j]
-            elif notion is FairnessNotion.EFX:
-                num, den = own, total - lows[j]
-            elif notion is FairnessNotion.EFR:
+        nums, dens = zip(*map(Fraction.as_integer_ratio, instance.valuations[i]))
+        scale = math.lcm(*dens)
+        if scale != 1:
+            nums = [num * (scale // den) for num, den in zip(nums, dens)]
+        parts = list(map(list(map(nums.__getitem__, items)).__getitem__, slices))
+        totals = list(map(sum, parts))
+        own_slot = slot_of.get(i)
+        own = 0 if own_slot is None else totals[own_slot]
+        if notion is FairnessNotion.EFR:
+            worst = None
+            for s, (size, total) in enumerate(zip(sizes, totals)):
+                if size < 2 or s == own_slot:
+                    continue
                 num, den = own * size, (size - 1) * total
-            else:
-                raise ValueError(f"unknown notion {notion!r}")
-            if den:
-                yield i, j, num, den
+                if den and (worst is None or num * worst[3] < worst[2] * den):
+                    worst = i, holders[s], num, den
+            if worst is not None:
+                yield worst
+            continue
+        if removed is None:  # EF
+            ds = totals
+        else:
+            ds = list(map(operator.sub, totals, map(removed, parts)))
+        if own_slot is not None:
+            ds[own_slot] = 0
+        den = max(ds, default=0) if own else next(filter(None, ds), 0)
+        if den:
+            yield i, holders[ds.index(den)], own, den
 
 
 def fairness_factor(
@@ -328,15 +346,19 @@ def fairness_factor(
     The factor is the minimum over ordered pairs (i, j), i != j, of
     v_i(own) / D_ij where D_ij is the notion's comparison denominator for
     j's bundle. Pairs with D_ij = 0 impose no constraint for any factor and
-    are skipped; if every pair is skipped the factor is unbounded. The
-    minimum is kept as an integer pair from `_own_ratios`, the first strict
-    minimum in (i, j) order, and reduced to a `Fraction` once.
+    are skipped; if every pair is skipped the factor is unbounded. Each
+    envier's row comes from `_worst_rivals` as one integer pair, its worst
+    ratio at its first worst rival; the minimum over the rows is kept as
+    the first strict minimum in envier order, so the witness is the first
+    pair attaining the factor in (i, j) order, and is reduced to a
+    `Fraction` once. The rows are scaled from the `Fraction` valuations on
+    every call.
     """
     check_allocation(instance, allocation)
     best_num, best_den = 0, 1
     witness: tuple[int, int] | None = None
     agents = range(instance.agent_count)
-    for i, j, num, den in _own_ratios(instance, allocation, notion, agents):
+    for i, j, num, den in _worst_rivals(instance, allocation, notion, agents):
         if witness is None or num * best_den < best_num * den:
             best_num, best_den, witness = num, den, (i, j)
     if witness is None:

@@ -395,6 +395,48 @@ class TestCompletionWork:
                 "matrix at matching": counts["step"],
             }
 
+    def test_the_checker_sums_no_bundle_and_yields_one_ratio_per_envier(
+        self, monkeypatch
+    ):
+        """`fairness_factor` and `_check_refined` read every own value off
+        the kernel's rows, so neither calls `bundle_value`, and the kernel
+        yields each envier's worst rival only: at most one tuple per envier,
+        in envier order, where one per pair would be n(n-1)."""
+        import fairalloc.algorithms as algorithms
+        import fairalloc.model as model
+
+        calls, yielded = [], []
+        kernel, summed = model._worst_rivals, model.bundle_value
+
+        def counted(*args):
+            calls.append(args)
+            return summed(*args)
+
+        def recorded(instance, allocation, notion, enviers):
+            enviers = list(enviers)
+            rows = list(kernel(instance, allocation, notion, enviers))
+            yielded.append((enviers, [row[0] for row in rows]))
+            return iter(rows)
+
+        for module in (model, algorithms):
+            monkeypatch.setattr(module, "bundle_value", counted, raising=False)
+            monkeypatch.setattr(module, "_worst_rivals", recorded)
+        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        allocation, _ = solve_efx(instance, check=False)
+        calls.clear()
+        yielded.clear()
+        for notion in FairnessNotion:
+            fairness_factor(instance, allocation, notion)
+        for clean, _, state in random_refinement_states(random.Random(606), 50):
+            refined_check_outcome(clean, state)
+            for notion in FairnessNotion:
+                fairness_factor(clean, state.allocation, notion)
+        assert calls == []
+        assert len(yielded) == 4 + 100 * 5
+        assert max(len(rows) for _, rows in yielded) == 40
+        for enviers, rows in yielded:
+            assert rows == sorted(set(rows)) and set(rows) <= set(enviers)
+
     def test_completion_starts_from_the_refined_allocations_matrix(self, monkeypatch):
         """The matrix and the envy masks threaded from the matching through
         refinement equal the ones built afresh from the refined allocation,
@@ -748,9 +790,9 @@ def reference_check_outcome(instance, state):
 
 
 def random_refinement_states(rng, trials):
-    """(clean instance, instance with wrong `scaled_rows`, state) triples:
-    p/q values, or 1s and 2s for exact ties, with zeros, partial allocations
-    and random rank groups."""
+    """(clean instance, instance with wrong `scaled_rows` and `row_scales`,
+    state) triples: p/q values, or 1s and 2s for exact ties, with zeros,
+    partial allocations and random rank groups."""
     for trial in range(trials):
         n, m = rng.randint(2, 5), rng.randint(2, 10)
         top, denominator = (2, 1) if trial % 2 else (40, 9)
@@ -766,6 +808,7 @@ def random_refinement_states(rng, trials):
         poisoned.__dict__["scaled_rows"] = tuple(
             tuple(rng.randint(0, 50) for _ in range(m)) for _ in range(n)
         )
+        poisoned.__dict__["row_scales"] = tuple(2 * s + 1 for s in clean.row_scales)
         owners = [rng.randrange(-1, n) for _ in range(m)]
         alloc = Allocation.of([[g for g in range(m) if owners[g] == i] for i in range(n)], m)
         for mode, group_count in ((EFR, 3), (EFX, 2)):
@@ -811,8 +854,8 @@ class TestRefinementChecks:
 
     def test_wrong_decision_rows_change_no_check(self):
         """The checks scale their own integers from the `Fraction`s: with the
-        cached `scaled_rows` overwritten by wrong rows, every factor, witness
-        and refinement verdict stays the same."""
+        cached `scaled_rows` and `row_scales` overwritten by wrong ones, every
+        factor, witness and refinement verdict stays the same."""
         outcomes = set()
         for clean, poisoned, state in random_refinement_states(random.Random(909), 120):
             for notion in FairnessNotion:

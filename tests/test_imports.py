@@ -144,3 +144,51 @@ def test_the_dead_name_guard_flags_only_unread_private_names():
         "b": "from .a import _Helper\nimport a\nx = a._used\n",
     }
     assert dead_private_names(sources) == ["a._dead"]
+
+
+# The exact checks scale their own rows from the `Fraction` valuations; they
+# must not read the solvers' cached decision rows or row scales.
+CHECKERS = {"model": ("fairness_factor", "_worst_rivals"), "algorithms": ("_check_refined",)}
+DECISION_CACHES = {"scaled_rows", "row_scales"}
+
+
+def names_read(function: ast.FunctionDef) -> set[str]:
+    """Every name, attribute and string constant in the function's body,
+    its docstring aside."""
+    body = function.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    names = set()
+    for node in (sub for statement in body for sub in ast.walk(statement)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, function",
+    [(module, function) for module, functions in CHECKERS.items() for function in functions],
+)
+def test_the_checkers_read_no_decision_rows(module, function):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    (definition,) = (
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    assert names_read(definition) & DECISION_CACHES == set()
+
+
+def test_the_decision_row_guard_sees_attributes_and_strings_not_docstrings():
+    source = (
+        "def a(x):\n    '''reads no scaled_rows'''\n    return x.valuations\n"
+        "def b(x):\n    return x.scaled_rows\n"
+        "def c(x):\n    return getattr(x, 'row_scales')\n"
+    )
+    found = {
+        node.name: names_read(node) & DECISION_CACHES for node in ast.parse(source).body
+    }
+    assert found == {"a": set(), "b": {"scaled_rows"}, "c": {"row_scales"}}

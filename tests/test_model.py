@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fairalloc import (
     bundle_value,
     factor_at_least,
     fairness_factor,
+    is_infinite,
     meets_threshold,
     removal_expectation,
 )
@@ -319,7 +321,11 @@ class TestScaledRows:
     def test_each_row_is_a_positive_integer_multiple(self, rows):
         instance = Instance.from_rows(rows)
         assert len(instance.scaled_rows) == instance.agent_count
-        for scaled, row in zip(instance.scaled_rows, instance.valuations):
+        for scaled, row, scale in zip(
+            instance.scaled_rows, instance.valuations, instance.row_scales
+        ):
+            assert scale == math.lcm(*(v.denominator for v in row))
+            assert list(scaled) == [v * scale for v in row]
             assert all(type(x) is int and x >= 0 for x in scaled)
             assert [x == 0 for x in scaled] == [v == 0 for v in row]
             for g, h in itertools.product(range(len(row)), repeat=2):
@@ -343,6 +349,13 @@ class TestThresholds:
         assert meets_threshold(report, SQRT3_MINUS_ONE)
         assert meets_threshold(report, GOLDEN_RATIO_MINUS_ONE)
         assert meets_threshold(report, 10**9)
+
+    def test_only_the_float_inf_is_infinite(self):
+        assert is_infinite(INF)
+        assert not is_infinite(Fraction(10**400))  # beyond every finite float
+        assert not is_infinite(-INF)
+        assert not is_infinite(math.nan)
+        assert not is_infinite(Fraction(0))
 
     def test_golden_ratio_threshold(self):
         # (sqrt(5)-1)/2 = 0.6180...: 5/8 passes, 3/5 does not
