@@ -333,8 +333,9 @@ def _complete(
 ) -> Allocation:
     """`envy_cycle_elimination` from the allocation's value matrix `values`
     and envy masks `masks`. With `mode` set, the mode's threshold factor is
-    re-verified from the instance itself, in `Fraction`s, after every rotation
-    and every pick, so a wrong matrix or mask update cannot certify itself."""
+    re-verified by the exact checker on its own integer view of the instance
+    after every rotation and every pick, so a wrong matrix or mask update
+    cannot certify itself."""
     pool = sorted(allocation.remaining)
     if not pool:  # refinement often empties it
         return allocation
@@ -399,7 +400,7 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
     group_of = {i: k for k, members in enumerate(groups.members) for i in members}
     held = [True] * len(spec.factors)
     low_num, low_den = 1, 0  # the smallest num / den so far; 1 / 0 is unbounded
-    for i, _, num, den in _worst_rivals(instance, allocation, mode, range(len(rows))):
+    for i, _, num, den in _worst_rivals(instance, allocation, mode):
         k = group_of.get(i)
         if k is not None and held[k]:
             held[k] = compare_scaled(num, spec.factors[k], den) >= 0

@@ -103,6 +103,9 @@ def instance_from_json(text: str) -> Instance:
         tuple(tuple(parse_rational(v) for v in row) for row in rows)
     )
     n, m = doc.get("n"), doc.get("m")
+    for field, declared in (("n", n), ("m", m)):
+        if declared is not None and type(declared) is not int:
+            raise InvalidInstance(f"declared {field} must be an integer, got {declared!r}")
     if n is not None and n != instance.agent_count:
         raise InvalidInstance(f"declared n={n} but found {instance.agent_count} rows")
     if m is not None and m != instance.item_count:

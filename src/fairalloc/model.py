@@ -4,15 +4,17 @@ All arithmetic is exact. Valuations are non-negative rationals
 (`fractions.Fraction`); the only non-rational value that ever appears is
 `math.inf`, used for unbounded fairness factors and infinite envy ratios.
 
-Decisions and checks read the valuations in two separate forms. The
-solvers decide on `Instance.scaled_rows`, each row times its cached LCM of
-denominators (`Instance.row_scales`). The fairness checks keep integers of
-their own: on each call `_worst_rivals` scales every envier's `Fraction`
-row again, and reads neither cache, so a wrong decision row cannot certify
-its own output. It reduces each envier's row to one worst ratio
-v_i(own) / D_ij, a pair of integers; `fairness_factor` compares the n rows'
-ratios by cross-multiplying and builds a single reduced `Fraction` at the
-end.
+Decisions and checks read the valuations through two cached integer views
+of each `Instance`, one owned by each side. The solvers decide on
+`Instance.scaled_rows`, each row times its cached LCM of denominators
+(`Instance.row_scales`). The fairness checks read
+`Instance.check_values`, the same multiples scaled by their own code from
+the `Fraction`s into an object array of Python ints, and neither side reads
+the other's view, so a wrong decision row cannot certify its own output.
+`_worst_rivals` reduces each agent's row of that view to one worst ratio
+v_i(own) / D_ij, a pair of integers, with array reductions over all bundles
+at once; `fairness_factor` compares the n rows' ratios by cross-multiplying
+and builds a single reduced `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import enum
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import InvalidAllocation, InvalidInstance
 
@@ -150,6 +153,23 @@ class Instance:
             for row, scale in zip(self.valuations, self.row_scales)
         )
 
+    @functools.cached_property
+    def check_values(self) -> np.ndarray:
+        """The fairness checks' own integer view: each agent's row times the
+        LCM of that row's denominators, as an n x m NumPy array of Python
+        ints (dtype object), exact at any size. It is scaled here from the
+        `Fraction` valuations, apart from `row_scales` and `scaled_rows`, and
+        only the checks read it, so a wrong decision row cannot certify its
+        own output."""
+        rows = []
+        for row in self.valuations:
+            nums, dens = zip(*map(Fraction.as_integer_ratio, row))
+            scale = math.lcm(*dens)
+            if scale != 1:
+                nums = [num * (scale // den) for num, den in zip(nums, dens)]
+            rows.append(nums)
+        return np.array(rows, dtype=object)
+
     def value(self, agent: int, item: int) -> Fraction:
         if not 0 <= agent < self.agent_count:
             raise IndexError(f"agent {agent} out of range")
@@ -272,70 +292,60 @@ class FairnessReport:
 
 
 def _worst_rivals(
-    instance: Instance,
-    allocation: Allocation,
-    notion: FairnessNotion,
-    enviers: Iterable[int],
+    instance: Instance, allocation: Allocation, notion: FairnessNotion
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Each envier's worst rival, as (i, j, num, den) with num / den =
+    """Each agent's worst rival, as (i, j, num, den) with num / den =
     v_i(own) / D_ij exactly, den > 0: the smallest ratio of row i, and the
-    first rival j that attains it. At most one tuple per envier, in
-    `enviers` order; an envier whose every D_ij is 0 yields none.
+    first rival j that attains it. At most one tuple per agent, in agent
+    order; an agent whose every D_ij is 0 yields none.
 
     D_ij is the notion's comparison denominator for j's bundle, read by
     agent i: the bundle's value (EF), less its most (EF1) or least (EFX)
-    valued item, or (k-1)/k of it for a k-item bundle (EFR, folded in as
-    num = own*k, den = (k-1)*total). Every notion but EF removes an item
-    first, so a singleton leaves 0, which imposes nothing.
+    valued item, or (k-1)/k of it for a k-item bundle (EFR). Every notion
+    but EF removes an item first, so a singleton leaves 0, which imposes
+    nothing.
 
-    Values are integers on agent i's row, scaled here on every call from
-    the `Fraction` valuations, apart from the solvers' cached rows. The
-    allocated items are listed once, bundle by bundle, with one slice per
-    nonempty bundle; each row then takes `sum` and `min` or `max` of every
-    slice, and its own slice's sum is the own value. EF, EF1 and EFX share
-    the numerator own, so the worst rival is the first with the largest
-    D_ij, or, when own is 0 and every ratio is 0, the first with D_ij > 0.
-    EFR cross-multiplies over the rival bundles of two items or more.
+    Values come from `Instance.check_values`, the checks' own integer view,
+    never from the solvers' cached rows. The allocated columns are taken
+    once, bundle by bundle, and the totals and D of every agent and nonempty
+    bundle are array reductions (`reduceat`). EFR scales by L, the LCM of
+    the bundle sizes: D_ij = total*(k-1)*(L/k) and num = own*L, the same
+    ratio. All four notions thus share the numerator num of row i, so with
+    the own slot set to 0 the worst rival is the first largest D_ij, or,
+    when num is 0 and every ratio is 0, the first D_ij > 0. That pick runs
+    on each row as a list (`max`, `index`): at n <= 6 it took half the time
+    of the same pick as array calls, and the same time at n = 40.
     """
     if not isinstance(notion, FairnessNotion):
         raise ValueError(f"unknown notion {notion!r}")
-    removed = {FairnessNotion.EF1: max, FairnessNotion.EFX: min}.get(notion)
     bundles = allocation.bundles
     holders = [j for j, bundle in enumerate(bundles) if bundle]
-    slot_of = {j: s for s, j in enumerate(holders)}
-    items = [g for j in holders for g in bundles[j]]
     sizes = [len(bundles[j]) for j in holders]
-    ends = list(itertools.accumulate(sizes))
-    slices = list(map(slice, [0, *ends], ends))
-    for i in enviers:
-        nums, dens = zip(*map(Fraction.as_integer_ratio, instance.valuations[i]))
-        scale = math.lcm(*dens)
-        if scale != 1:
-            nums = [num * (scale // den) for num, den in zip(nums, dens)]
-        parts = list(map(list(map(nums.__getitem__, items)).__getitem__, slices))
-        totals = list(map(sum, parts))
-        own_slot = slot_of.get(i)
-        own = 0 if own_slot is None else totals[own_slot]
-        if notion is FairnessNotion.EFR:
-            worst = None
-            for s, (size, total) in enumerate(zip(sizes, totals)):
-                if size < 2 or s == own_slot:
-                    continue
-                num, den = own * size, (size - 1) * total
-                if den and (worst is None or num * worst[3] < worst[2] * den):
-                    worst = i, holders[s], num, den
-            if worst is not None:
-                yield worst
-            continue
-        if removed is None:  # EF
-            ds = totals
+    starts = [0, *itertools.accumulate(sizes)][:-1]
+    columns = instance.check_values[:, [g for j in holders for g in bundles[j]]]
+    totals = np.add.reduceat(columns, starts, axis=1)
+    scale = 1
+    if notion is FairnessNotion.EF:
+        ds = totals
+    elif notion is FairnessNotion.EF1:
+        ds = totals - np.maximum.reduceat(columns, starts, axis=1)
+    elif notion is FairnessNotion.EFX:
+        ds = totals - np.minimum.reduceat(columns, starts, axis=1)
+    else:  # EFR
+        scale = math.lcm(*sizes)
+        ds = totals * np.array([(k - 1) * (scale // k) for k in sizes], dtype=object)
+    own_totals = totals.tolist()
+    slot_of = dict(zip(holders, range(len(holders))))
+    for i, row in enumerate(ds.tolist()):
+        s = slot_of.get(i)
+        if s is None:
+            num = 0
         else:
-            ds = list(map(operator.sub, totals, map(removed, parts)))
-        if own_slot is not None:
-            ds[own_slot] = 0
-        den = max(ds, default=0) if own else next(filter(None, ds), 0)
+            num = own_totals[i][s] * scale
+            row[s] = 0
+        den = max(row) if num else next(filter(None, row), 0)
         if den:
-            yield i, holders[ds.index(den)], own, den
+            yield i, holders[row.index(den)], num, den
 
 
 def fairness_factor(
@@ -351,14 +361,13 @@ def fairness_factor(
     ratio at its first worst rival; the minimum over the rows is kept as
     the first strict minimum in envier order, so the witness is the first
     pair attaining the factor in (i, j) order, and is reduced to a
-    `Fraction` once. The rows are scaled from the `Fraction` valuations on
-    every call.
+    `Fraction` once. The rows are read from `Instance.check_values`, scaled
+    from the `Fraction` valuations once per instance.
     """
     check_allocation(instance, allocation)
     best_num, best_den = 0, 1
     witness: tuple[int, int] | None = None
-    agents = range(instance.agent_count)
-    for i, j, num, den in _worst_rivals(instance, allocation, notion, agents):
+    for i, j, num, den in _worst_rivals(instance, allocation, notion):
         if witness is None or num * best_den < best_num * den:
             best_num, best_den, witness = num, den, (i, j)
     if witness is None:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -395,6 +396,26 @@ class TestCompletionWork:
                 "matrix at matching": counts["step"],
             }
 
+    def test_the_checks_scale_each_value_once_per_instance(self, monkeypatch):
+        """A checks-on solve runs the exact checker n + 2 times and the
+        caller's `fairness_factor` once more; all of them read one integer
+        view, scaled once, so at most one `as_integer_ratio` call reaches
+        each of the n*m values."""
+        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        calls = 0
+        as_integer_ratio = Fraction.as_integer_ratio
+
+        def counted(value):
+            nonlocal calls
+            calls += 1
+            return as_integer_ratio(value)
+
+        monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
+        allocation, trace = solve_efx(instance, check=True)
+        fairness_factor(instance, allocation, EFX)
+        assert sum(isinstance(e, InvariantChecked) for e in trace) > instance.agent_count
+        assert 0 < calls <= instance.agent_count * instance.item_count
+
     def test_the_checker_sums_no_bundle_and_yields_one_ratio_per_envier(
         self, monkeypatch
     ):
@@ -412,10 +433,9 @@ class TestCompletionWork:
             calls.append(args)
             return summed(*args)
 
-        def recorded(instance, allocation, notion, enviers):
-            enviers = list(enviers)
-            rows = list(kernel(instance, allocation, notion, enviers))
-            yielded.append((enviers, [row[0] for row in rows]))
+        def recorded(instance, allocation, notion):
+            rows = list(kernel(instance, allocation, notion))
+            yielded.append((instance.agent_count, [row[0] for row in rows]))
             return iter(rows)
 
         for module in (model, algorithms):
@@ -434,8 +454,8 @@ class TestCompletionWork:
         assert calls == []
         assert len(yielded) == 4 + 100 * 5
         assert max(len(rows) for _, rows in yielded) == 40
-        for enviers, rows in yielded:
-            assert rows == sorted(set(rows)) and set(rows) <= set(enviers)
+        for agents, rows in yielded:
+            assert rows == sorted(set(rows)) and set(rows) <= set(range(agents))
 
     def test_completion_starts_from_the_refined_allocations_matrix(self, monkeypatch):
         """The matrix and the envy masks threaded from the matching through
@@ -866,6 +886,32 @@ class TestRefinementChecks:
             assert refined_check_outcome(poisoned, state) == outcome
             outcomes.add(outcome[1])
         assert None in outcomes and len(outcomes) > 3  # passes and several failures
+
+    def test_a_zeroed_check_view_changes_no_decision(self):
+        """With the checks' integer view overwritten by zeros every D_ij is
+        0, so each factor is unbounded and every check but the `Fraction`
+        pool bounds passes vacuously. Decisions never read the view, so a
+        checks-on solve returns the same allocation and trace as on the
+        clean instance."""
+        rng = random.Random(1515)
+        for trial in range(100):
+            n = rng.randint(2, 8)
+            m = rng.randint(n, 4 * n)
+            top, den = (2, 1) if trial % 3 == 0 else (60, 9)
+            rows = [
+                [
+                    0 if rng.random() < 0.2
+                    else Fraction(rng.randint(1, top), rng.randint(1, den))
+                    for _ in range(m)
+                ]
+                for _ in range(n)
+            ]
+            clean, zeroed = Instance.from_rows(rows), Instance.from_rows(rows)
+            zeroed.__dict__["check_values"] = np.zeros((n, m), dtype=object)
+            for solver, notion in ((solve_efr, EFR), (solve_efx, EFX)):
+                expected = solver(clean, check=True)
+                assert fairness_factor(zeroed, expected[0], notion).factor == INF
+                assert run_bytes(solver(zeroed, check=True)) == run_bytes(expected)
 
 
 class TestGoldenTrace:

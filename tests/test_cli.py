@@ -54,6 +54,16 @@ class TestSolve:
         assert code == 2
         assert "InstanceTooSmall" in capsys.readouterr().err
 
+    def test_a_non_integer_declared_size_is_an_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": "1", "valuations": [[2, 1, 5]]}')
+        code = main([
+            "solve", "--algorithm", "efx",
+            "--input", str(bad), "--output", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "declared n must be an integer, got '1'" in capsys.readouterr().err
+
     def test_single_agent_efx_reports_unbounded(self, tmp_path, capsys):
         one = tmp_path / "one.json"
         one.write_text('{"valuations": [[2, 1, 5]]}')

@@ -36,6 +36,15 @@ class TestInstanceFiles:
         with pytest.raises(InvalidInstance):
             instance_from_json('{"n": 2, "m": 2, "valuations": [[1, 2]]}')
 
+    @pytest.mark.parametrize(
+        "field, raw", [("n", "true"), ("n", "1.0"), ("n", '"1"'), ("m", "2.0"), ("m", "[2]")]
+    )
+    def test_declared_sizes_must_be_json_integers(self, field, raw):
+        sizes = {"n": "1", "m": "2", field: raw}
+        text = f'{{"n": {sizes["n"]}, "m": {sizes["m"]}, "valuations": [[3, 1]]}}'
+        with pytest.raises(InvalidInstance, match=f"declared {field} must be an integer"):
+            instance_from_json(text)
+
     def test_negative_and_malformed_rejected(self):
         with pytest.raises(InvalidInstance):
             instance_from_json('{"valuations": [[-1]]}')

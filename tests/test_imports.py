@@ -146,9 +146,13 @@ def test_the_dead_name_guard_flags_only_unread_private_names():
     assert dead_private_names(sources) == ["a._dead"]
 
 
-# The exact checks scale their own rows from the `Fraction` valuations; they
-# must not read the solvers' cached decision rows or row scales.
-CHECKERS = {"model": ("fairness_factor", "_worst_rivals"), "algorithms": ("_check_refined",)}
+# The exact checks scale their own rows from the `Fraction` valuations
+# (`Instance.check_values`); they must not read the solvers' cached decision
+# rows or row scales.
+CHECKERS = {
+    "model": ("check_values", "fairness_factor", "_worst_rivals"),
+    "algorithms": ("_check_refined",),
+}
 DECISION_CACHES = {"scaled_rows", "row_scales"}
 
 
@@ -176,7 +180,7 @@ def names_read(function: ast.FunctionDef) -> set[str]:
 def test_the_checkers_read_no_decision_rows(module, function):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     (definition,) = (
-        node for node in tree.body
+        node for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == function
     )
     assert names_read(definition) & DECISION_CACHES == set()
@@ -192,3 +196,42 @@ def test_the_decision_row_guard_sees_attributes_and_strings_not_docstrings():
         node.name: names_read(node) & DECISION_CACHES for node in ast.parse(source).body
     }
     assert found == {"a": set(), "b": {"scaled_rows"}, "c": {"row_scales"}}
+
+
+# The checks' integer view is theirs alone: no decision reads it.
+CHECK_VIEW = "check_values"
+DECISION_MODULES = ("envy", "matching", "files", "cli", "algorithms")
+CHECK_VIEW_READERS = {"_check_refined"}  # the one check that lives in `algorithms`
+
+
+def functions_naming(source: str, name: str, allowed: set[str]) -> list[str]:
+    """Functions and methods, at any depth, that name `name` in their body
+    (see `names_read`), apart from those in `allowed`; sorted."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in allowed
+        and name in names_read(node)
+    )
+
+
+@pytest.mark.parametrize("module", DECISION_MODULES)
+def test_no_decision_reads_the_check_view(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert functions_naming(source, CHECK_VIEW, CHECK_VIEW_READERS) == []
+
+
+def test_the_check_view_guard_sees_methods_and_nested_functions():
+    source = (
+        "def _check_refined(x):\n    return x.check_values\n"
+        "def decide(x):\n    '''reads no check_values'''\n    return x.scaled_rows\n"
+        "class Picker:\n"
+        "    def pick(self, x):\n        return getattr(x, 'check_values')\n"
+        "def outer(x):\n"
+        "    def inner():\n        return x.check_values\n"
+        "    return inner\n"
+    )
+    assert functions_naming(source, CHECK_VIEW, CHECK_VIEW_READERS) == [
+        "inner", "outer", "pick"
+    ]

@@ -309,15 +309,13 @@ rational_values = st.one_of(
     st.builds(lambda r, q: Fraction(10**40 + r, q), st.integers(0, 1000), st.integers(1, 99)),
 )
 
+rational_rows = st.integers(1, 5).flatmap(
+    lambda m: st.lists(st.lists(rational_values, min_size=m, max_size=m), min_size=1, max_size=4)
+)
+
 
 class TestScaledRows:
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda m: st.lists(
-                st.lists(rational_values, min_size=m, max_size=m), min_size=1, max_size=4
-            )
-        )
-    )
+    @given(rational_rows)
     def test_each_row_is_a_positive_integer_multiple(self, rows):
         instance = Instance.from_rows(rows)
         assert len(instance.scaled_rows) == instance.agent_count
@@ -330,6 +328,23 @@ class TestScaledRows:
             assert [x == 0 for x in scaled] == [v == 0 for v in row]
             for g, h in itertools.product(range(len(row)), repeat=2):
                 assert scaled[g] * row[h] == scaled[h] * row[g]
+
+    @given(rational_rows)
+    def test_the_check_view_is_each_row_times_its_lcm_in_python_ints(self, rows):
+        instance = Instance.from_rows(rows)
+        view = instance.check_values
+        assert view.dtype == object
+        assert view.shape == (instance.agent_count, instance.item_count)
+        for scaled, row in zip(view.tolist(), instance.valuations):
+            scale = math.lcm(*(v.denominator for v in row))
+            assert all(type(x) is int for x in scaled)  # no NumPy integer
+            assert scaled == [v * scale for v in row]
+
+    def test_the_check_view_is_exact_beyond_64_bits(self):
+        rows = [[Fraction(10**40 + r, 7) for r in range(3)], [Fraction(10**40 + 1, 7), 3, 0]]
+        view = Instance.from_rows(rows).check_values
+        assert view.tolist() == [[10**40, 10**40 + 1, 10**40 + 2], [10**40 + 1, 21, 0]]
+        assert all(type(x) is int for x in view.flat)
 
 
 class TestThresholds:
