@@ -8,21 +8,21 @@ Bundle values are summed on `Instance.scaled_rows`, exact integers with one
 positive factor per agent: every question asked here (a ratio, strict envy)
 compares values of one agent with each other, so the factor cancels.
 
-`product` multiplies weights exactly: a 0 weight absorbs everything (a path
-or cycle through it can never beat the empty path), and inf dominates any
-positive product. The one max-product relaxation behind improving cycles,
-envy ranks and rank-attaining paths runs on integers: each positive weight
-is an edge (i, j, k, num, den) meaning inf**k * num/den, so a finite
-other/own is (0, other, own) and inf is (1, 1, 1), and each agent's value is
-a triple (k, num, den) of the same form. Along a path the k parts add and
-the fractions multiply; values compare on k first, then by cross-multiplying
-the fractions. A cycle through an infinite edge is then improving like any
-other, and a rank with k > 0 reads back as INF. Every caller reads its edges
-from an integer value matrix with `_value_edges`: the matching from the
-matrix it has just summed, the public graph queries from the matrix an
-`EnvyRatioGraph` holds. `_value_matrix` is the one place a matrix is summed
-from bundles; the solvers sum one per matching step and keep the last one up
-to date through refinement and completion.
+A 0 weight absorbs everything (a path or cycle through it can never beat the
+empty path), and inf dominates any positive product. The one max-product
+relaxation behind improving cycles, envy ranks and rank-attaining paths runs
+on integers: each positive weight is an edge (i, j, k, num, den) meaning
+inf**k * num/den, so a finite other/own is (0, other, own) and inf is
+(1, 1, 1), and each agent's value is a triple (k, num, den) of the same
+form. Along a path the k parts add and the fractions multiply; values
+compare on k first, then by cross-multiplying the fractions. A cycle through
+an infinite edge is then improving like any other, and a rank with k > 0
+reads back as INF. Every caller reads its edges from an integer value matrix with
+`_value_edges`: the matching from the matrix it has just summed, the public
+graph queries from the matrix an `EnvyRatioGraph` holds. `_value_matrix` is
+the one place a matrix is summed from bundles; the solvers sum one per
+matching step and keep the last one up to date through refinement and
+completion.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
 iff values[i][j] > values[i][i] (`_envy_masks`). The solvers build the masks
@@ -50,7 +50,6 @@ from .model import (
     ExtendedRational,
     Instance,
     check_allocation,
-    is_infinite,
 )
 
 Cycle = tuple[int, ...]
@@ -93,25 +92,6 @@ class EnvyRanks:
 
     def __len__(self) -> int:
         return len(self.ranks)
-
-
-def product(weights: Iterable[ExtendedRational]) -> ExtendedRational:
-    """Exact product of extended weights: 0 absorbs, then inf dominates."""
-    ws = list(weights)
-    if any(w == 0 for w in ws):
-        return Fraction(0)
-    if any(is_infinite(w) for w in ws):
-        return INF
-    result = Fraction(1)
-    for w in ws:
-        result *= w
-    return result
-
-
-def cycle_weights(graph: EnvyRatioGraph, cycle: Cycle) -> list[ExtendedRational]:
-    return [
-        graph.weight(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))
-    ]
 
 
 def _canonical(cycle: list[int]) -> Cycle:

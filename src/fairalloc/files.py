@@ -255,15 +255,23 @@ class GenSpec:
 
 def generate_instance(spec: GenSpec) -> Instance:
     """Deterministic instance for a spec: each value is 0 with the configured
-    probability (decided exactly on the rational), else uniform in [low, high]."""
+    probability (decided exactly on the rational), else uniform in [low, high].
+
+    Each distinct drawn integer becomes one `Fraction`, shared by every entry
+    with that value."""
     rng = random.Random(spec.seed)
     p = spec.zero_probability
+    fractions: dict[int, Fraction] = {}
     rows = []
     for _ in range(spec.agents):
         row = []
         for _ in range(spec.items):
             zero = rng.randrange(p.denominator) < p.numerator
-            row.append(Fraction(0) if zero else Fraction(rng.randint(spec.low, spec.high)))
+            value = 0 if zero else rng.randint(spec.low, spec.high)
+            fraction = fractions.get(value)
+            if fraction is None:
+                fraction = fractions[value] = Fraction(value)
+            row.append(fraction)
         rows.append(tuple(row))
     return Instance(tuple(rows))
 

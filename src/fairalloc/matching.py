@@ -32,16 +32,26 @@ agents with positive value, then the product of those values), so the loop
 terminates. The final allocation maximizes that objective whenever the
 floats ranked candidate matchings correctly; the exact certificate holds
 unconditionally, which is all the downstream guarantees consume.
+
+The warm start's solver is SciPy's `linear_sum_assignment`, loaded once at
+import straight from its compiled kernel file (`_lsap*` in the
+`scipy.optimize` folder), which skips the import of all of
+`scipy.optimize`. Without that file, or when it fails to load, it is the
+same function imported through `scipy.optimize`.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .envy import (
     EnvyRanks,
@@ -55,6 +65,54 @@ from .errors import ImprovingCycleExists, InstanceTooSmall, InvalidAllocation
 from .model import Allocation, Instance, bundle_value, check_allocation, is_infinite
 
 Objective = tuple[int, Fraction]
+
+_KERNEL = "scipy.optimize._lsap"
+
+
+def _kernel_path() -> str | None:
+    """The file of SciPy's compiled assignment kernel, if there is one.
+
+    `find_spec` imports only the top-level `scipy` package to locate
+    the `scipy.optimize` folder; that package's `__init__` does not run."""
+    spec = importlib.util.find_spec("scipy.optimize")
+    for folder in (spec and spec.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_kernel() -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+    """SciPy's `linear_sum_assignment`, loaded from the kernel file alone.
+
+    Without a kernel file, or when it fails to load, this is the same
+    compiled function imported the public way, through `scipy.optimize`.
+    The loaded module is not left in `sys.modules`: an extension module
+    registers itself there as it loads, and the entry is put back as it was.
+    """
+    path = _kernel_path()
+    if path is not None:
+        loader = ExtensionFileLoader(_KERNEL, path)
+        spec = importlib.util.spec_from_file_location(_KERNEL, path, loader=loader)
+        saved = sys.modules.get(_KERNEL)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module.linear_sum_assignment
+        except (ImportError, OSError):
+            pass
+        finally:
+            if saved is None:
+                sys.modules.pop(_KERNEL, None)
+            else:
+                sys.modules[_KERNEL] = saved
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _load_kernel()
 
 
 @dataclass(frozen=True)

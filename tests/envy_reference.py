@@ -1,9 +1,37 @@
-"""A list-based strict-envy cycle search, the test-only reference for the
-bitset search behind `fairalloc.envy.envy_cycle_in`.
+"""Test-only references for `fairalloc.envy`.
 
-It shares no code with the package: successor lists are rebuilt from the
-value matrix on every call, and the cycle is rotated here.
+`reference_envy_cycle` is a list-based strict-envy cycle search, the
+reference for the bitset search behind `fairalloc.envy.envy_cycle_in`. It
+shares no code with the package: successor lists are rebuilt from the value
+matrix on every call, and the cycle is rotated here.
+
+`product` and `cycle_weights` multiply envy-ratio weights exactly, as
+`Fraction`s and INF, to check the package's integer relaxation against.
 """
+
+from fractions import Fraction
+
+from fairalloc.model import INF, is_infinite
+
+
+def product(weights):
+    """Exact product of extended weights: 0 absorbs, then inf dominates."""
+    ws = list(weights)
+    if any(w == 0 for w in ws):
+        return Fraction(0)
+    if any(is_infinite(w) for w in ws):
+        return INF
+    result = Fraction(1)
+    for w in ws:
+        result *= w
+    return result
+
+
+def cycle_weights(graph, cycle):
+    """The weights of a cycle's edges in an `EnvyRatioGraph`, in order."""
+    return [
+        graph.weight(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))
+    ]
 
 
 def reference_envy_cycle(values):

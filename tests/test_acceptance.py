@@ -37,7 +37,6 @@ from fairalloc import (
     solve_efx,
 )
 from fairalloc.cli import main as cli_main
-from fairalloc.envy import cycle_weights, product
 from fairalloc.files import allocation_from_json, random_instances, trace_from_lines
 from fairalloc.matching import lexicographic_objective
 from fairalloc.oracle import (
@@ -47,6 +46,8 @@ from fairalloc.oracle import (
     oracle_nsw_matching,
     oracle_removal_expectation,
 )
+
+from envy_reference import cycle_weights, product
 
 ACCEPTANCE_SEED = 20260809
 BATCH = dict(

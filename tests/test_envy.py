@@ -30,13 +30,11 @@ from fairalloc.envy import (
     _relax_max_product,
     _value_edges,
     _value_matrix,
-    cycle_weights,
     envy_cycle_in,
-    product,
 )
 from fairalloc.oracle import oracle_envy_rank, oracle_improving_cycle
 
-from envy_reference import reference_envy_cycle
+from envy_reference import cycle_weights, product, reference_envy_cycle
 
 
 def random_matching_graph(rng: random.Random):

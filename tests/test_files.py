@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,24 @@ class TestGeneration:
         spec = GenSpec(2, 4, 1, 9, Fraction(1), seed=1)
         instance = generate_instance(spec)
         assert all(v == 0 for row in instance.valuations for v in row)
+
+    def test_one_fraction_per_distinct_value(self):
+        spec = GenSpec(40, 120, 0, 100, Fraction(1, 10), seed=16)
+        values = [v for row in generate_instance(spec).valuations for v in row]
+        assert len({id(v) for v in values}) <= 102
+        rng = random.Random(spec.seed)
+        expected = [
+            Fraction(0) if rng.randrange(10) < 1 else Fraction(rng.randint(0, 100))
+            for _ in range(40 * 120)
+        ]
+        assert values == expected
+
+    def test_a_huge_range_builds_at_once(self):
+        spec = GenSpec(2, 3, 0, 10**30, Fraction(1, 10), seed=7)
+        assert generate_instance(spec).valuations == (
+            (823562765158501830932765822436, 0, 403598562939208673953046267940),
+            (277887688554896545928674083957, 0, 243219004536618414012314642266),
+        )
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fairalloc
 from fairalloc import (
     INF,
     Allocation,
@@ -13,12 +19,13 @@ from fairalloc import (
     build_envy_ratio_graph,
     envy_ranks,
     find_improving_cycle,
+    matching,
     nsw_matching,
     strict_envy_edges,
     topological_order,
     verify_nsw_certificate,
 )
-from fairalloc.envy import EnvyRanks, _value_matrix, product
+from fairalloc.envy import EnvyRanks, _value_matrix
 from fairalloc.files import random_instances
 from fairalloc.matching import (
     _find_pool_violation,
@@ -27,6 +34,8 @@ from fairalloc.matching import (
 )
 from fairalloc.model import bundle_value
 from fairalloc.oracle import oracle_nsw_matching
+
+from envy_reference import product
 
 
 class TestNswMatching:
@@ -197,6 +206,109 @@ class TestWarmStartWeights:
         instance = Instance.from_rows([[0] * 4] * 3)
         assert _log_weights(instance).tolist() == [[-1.0] * 4] * 3
         assert per_value_log_weights(instance) == [[-1.0] * 4] * 3
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    source = str(Path(fairalloc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": source + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestAssignmentKernel:
+    """The warm start's `linear_sum_assignment` is SciPy's compiled kernel,
+    loaded from its file without importing `scipy.optimize`, or else the
+    public function; either way it must be the same assignment."""
+
+    @staticmethod
+    def tie_heavy_tables():
+        rng = np.random.default_rng(16)
+        for _ in range(160):
+            n = int(rng.integers(1, 41))
+            m = int(rng.integers(n, 3 * n + 1))
+            yield rng.integers(0, 6, size=(n, m)).astype(float)
+        py_rng = random.Random(16)
+        for _ in range(40):
+            n = py_rng.randint(1, 12)
+            m = py_rng.randint(n, 3 * n)
+            zeros = py_rng.choice([0.2, 0.5, 0.9, 1.0])
+            yield _log_weights(
+                Instance.from_rows(
+                    [
+                        [0 if py_rng.random() < zeros else py_rng.randint(1, 5) for _ in range(m)]
+                        for _ in range(n)
+                    ]
+                )
+            )
+
+    def test_same_rows_and_cols_as_the_public_function(self):
+        from scipy.optimize import linear_sum_assignment as public
+
+        sentinels = 0
+        for table in self.tie_heavy_tables():
+            rows, cols = matching.linear_sum_assignment(table, maximize=True)
+            expected_rows, expected_cols = public(table, maximize=True)
+            assert rows.tolist() == expected_rows.tolist()
+            assert cols.tolist() == expected_cols.tolist()
+            sentinels += bool((table < 0).any())
+        assert sentinels > 20
+
+    def test_falls_back_to_the_public_function_without_a_kernel_file(self, monkeypatch):
+        from scipy.optimize import linear_sum_assignment as public
+
+        monkeypatch.setattr(matching, "_kernel_path", lambda: None)
+        assert matching._load_kernel() is public
+
+    def test_falls_back_when_the_kernel_file_fails_to_load(self, monkeypatch, tmp_path):
+        from scipy.optimize import linear_sum_assignment as public
+
+        broken = tmp_path / "_lsap.so"
+        broken.write_bytes(b"not a shared object")
+        monkeypatch.setattr(matching, "_kernel_path", lambda: str(broken))
+        before = sys.modules.get(matching._KERNEL)
+        assert matching._load_kernel() is public
+        assert sys.modules.get(matching._KERNEL) is before
+
+    def test_scipy_optimize_imports_after_the_package(self):
+        done = run_python(
+            "import sys\n"
+            "import numpy as np\n"
+            "from fairalloc import matching\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "assert matching._KERNEL not in sys.modules\n"
+            "import scipy.optimize\n"
+            "table = np.random.default_rng(3).integers(0, 4, size=(30, 70)).astype(float)\n"
+            "ours = matching.linear_sum_assignment(table, maximize=True)\n"
+            "theirs = scipy.optimize.linear_sum_assignment(table, maximize=True)\n"
+            "assert [a.tolist() for a in ours] == [a.tolist() for a in theirs]\n"
+            "print('ok')\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
+    def test_a_cold_start_never_imports_scipy_optimize(self, tmp_path):
+        """Which modules a solve loads, not how long it takes: the import,
+        both solvers with checks on, and one CLI solve."""
+        path = tmp_path / "four.json"
+        path.write_text(
+            '{"valuations": [[8, 2, 4, 3], [4, 2, 0, 2], [0, 3, 2, 2], [1, 6, 3, 9]]}\n'
+        )
+        done = run_python(
+            "import sys\n"
+            "from fairalloc import Instance, cli, solve_efr, solve_efx\n"
+            "rows = [[8, 2, 4, 3], [4, 2, 0, 2], [0, 3, 2, 2], [1, 6, 3, 9]]\n"
+            "solve_efr(Instance.from_rows(rows), check=True)\n"
+            "solve_efx(Instance.from_rows(rows), check=True)\n"
+            f"code = cli.main(['solve', '--algorithm', 'efx', '--input', {str(path)!r},"
+            f" '--output', {str(tmp_path / 'out.json')!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out.json").exists()
 
 
 class TestCertificate:
