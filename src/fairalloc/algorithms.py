@@ -392,11 +392,13 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
     walk over the agents' worst ratios, n exact comparisons, gives each
     group's verdict and the smallest ratio of all, which the global check
     compares with the mode's threshold: an agent that no group holds enters
-    that check only. The pool bounds sum each own bundle in `Fraction`s.
+    that check only. The pool bounds read own and the largest pool value
+    in integers, from the agent's row of `Instance.check_values` as a list
+    (`tolist`, which measured faster than indexing the object array): both
+    come from one row, so the row's scale cancels.
     """
     allocation, groups = state.allocation, state.groups
     mode, spec = groups.mode, MODES[groups.mode]
-    rows = instance.valuations
     group_of = {i: k for k, members in enumerate(groups.members) for i in members}
     held = [True] * len(spec.factors)
     low_num, low_den = 1, 0  # the smallest num / den so far; 1 / 0 is unbounded
@@ -412,18 +414,20 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
     if spec.global_check:
         passed = compare_scaled(low_num, spec.threshold.surd, low_den) >= 0
         _check(trace, "refine-global-factor", passed)
-    pool = allocation.remaining
+    pool, values = allocation.remaining, instance.check_values
+
+    def bounded(i: int, bound: Surd) -> bool:
+        # own >= c * v for every pool item is own >= c * (the largest v)
+        row = values[i].tolist()
+        own = sum(map(row.__getitem__, allocation.bundles[i]))
+        return compare_scaled(own, bound, max(map(row.__getitem__, pool))) >= 0
+
     _check(
         trace,
         "refine-remaining-bounds",
         not pool
-        or all(  # own >= c * v for every pool item is own >= c * (the largest v)
-            compare_scaled(
-                sum(map(rows[i].__getitem__, allocation.bundles[i])),
-                bound,
-                max(map(rows[i].__getitem__, pool)),
-            )
-            >= 0
+        or all(
+            bounded(i, bound)
             for members, bound in zip(groups.members, spec.pool_bounds)
             for i in members
         ),

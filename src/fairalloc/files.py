@@ -4,6 +4,12 @@ Instances and allocations are JSON documents; traces are JSON lines, one
 event per line. Rationals are persisted as integers or "p/q" strings so
 round trips are exact -- no floating point ever reaches a file.
 Items and agents are 0-indexed everywhere.
+
+An instance row of JSON integers only is kept as a tuple of ints (see
+`model.Instance`); any other row is parsed value by value into `Fraction`s.
+Seeded generation draws integers, so its rows are integer rows. The four
+per-step trace events are written as formatted lines, the same bytes as
+`json.dumps` gives for their dicts.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .algorithms import (
     AgentGroups,
@@ -27,10 +33,18 @@ from .algorithms import (
 )
 from .envy import EnvyRanks
 from .errors import InvalidAllocation, InvalidInstance
-from .model import INF, Allocation, ExtendedRational, FairnessNotion, Instance, is_infinite
+from .model import (
+    INF,
+    Allocation,
+    ExtendedRational,
+    FairnessNotion,
+    Instance,
+    _stored_rows,
+    is_infinite,
+)
 
 
-def format_rational(value: Fraction) -> int | str:
+def format_rational(value: Fraction | int) -> int | str:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
@@ -60,14 +74,19 @@ def parse_extended(raw: int | str) -> ExtendedRational:
 # --- Instance files ----------------------------------------------------------
 
 
-def _rows_block(rows: list[list], indent: str) -> str:
-    """Render a list of rows with each row on its own line."""
-    inner = ",\n".join(indent + "  " + json.dumps(row) for row in rows)
+def _rows_block(rows: list[str], indent: str) -> str:
+    """Render a list of rows, each already JSON, with each row on its own line."""
+    inner = ",\n".join(indent + "  " + row for row in rows)
     return "[\n" + inner + "\n" + indent + "]"
 
 
+def _int_list(values: Iterable[int]) -> str:
+    """`json.dumps` of a list of ints, without its per-call overhead."""
+    return f"[{', '.join(map(str, values))}]"
+
+
 def instance_to_json(instance: Instance, generator: "GenSpec | None" = None) -> str:
-    rows = [[format_rational(v) for v in row] for row in instance.valuations]
+    rows = [json.dumps([format_rational(v) for v in row]) for row in instance.rows]
     lines = [
         "{",
         f'  "n": {instance.agent_count},',
@@ -99,9 +118,7 @@ def instance_from_json(text: str) -> Instance:
     rows = doc["valuations"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInstance("'valuations' must be a list of rows")
-    instance = Instance(
-        tuple(tuple(parse_rational(v) for v in row) for row in rows)
-    )
+    instance = Instance(_stored_rows(rows, parse_rational))
     n, m = doc.get("n"), doc.get("m")
     for field, declared in (("n", n), ("m", m)):
         if declared is not None and type(declared) is not int:
@@ -117,8 +134,8 @@ def instance_from_json(text: str) -> Instance:
 
 
 def allocation_to_json(allocation: Allocation) -> str:
-    bundles = [sorted(b) for b in allocation.bundles]
-    remaining = json.dumps(sorted(allocation.remaining))
+    bundles = [_int_list(sorted(b)) for b in allocation.bundles]
+    remaining = _int_list(sorted(allocation.remaining))
     return (
         "{\n"
         f'  "bundles": {_rows_block(bundles, "  ")},\n'
@@ -216,8 +233,35 @@ def _event_from_dict(doc: dict) -> TraceEvent:
     raise ValueError(f"unknown trace event kind {kind!r}")
 
 
+# `json.dumps`'s own escape for a string under its default `ensure_ascii`
+_json_string = json.encoder.encode_basestring_ascii
+
+
 def trace_to_lines(trace: Trace) -> str:
-    return "".join(json.dumps(_event_to_dict(e)) + "\n" for e in trace)
+    """One JSON line per event, `json.dumps(_event_to_dict(e))`. The four
+    per-step kinds are formatted directly, with `json.dumps`'s separators,
+    key order and string escape; the once-per-solve kinds go through
+    `_event_to_dict`."""
+    lines = []
+    for e in trace:
+        kind = type(e)
+        if kind is Pick:
+            lines.append(
+                f'{{"event": "pick", "agent": {e.agent}, "item": {e.item}, '
+                f'"pass": {_json_string(e.label)}}}\n'
+            )
+        elif kind is SourcePick:
+            lines.append(f'{{"event": "source-pick", "agent": {e.agent}, "item": {e.item}}}\n')
+        elif kind is CycleRotated:
+            lines.append(f'{{"event": "rotate", "cycle": {_int_list(e.cycle)}}}\n')
+        elif kind is InvariantChecked:
+            passed = "true" if e.passed else "false"
+            lines.append(
+                f'{{"event": "invariant", "name": {_json_string(e.name)}, "passed": {passed}}}\n'
+            )
+        else:
+            lines.append(json.dumps(_event_to_dict(e)) + "\n")
+    return "".join(lines)
 
 
 def trace_from_lines(text: str) -> Trace:
@@ -257,21 +301,15 @@ def generate_instance(spec: GenSpec) -> Instance:
     """Deterministic instance for a spec: each value is 0 with the configured
     probability (decided exactly on the rational), else uniform in [low, high].
 
-    Each distinct drawn integer becomes one `Fraction`, shared by every entry
-    with that value."""
+    Every row is an integer row (see `model.Instance`)."""
     rng = random.Random(spec.seed)
     p = spec.zero_probability
-    fractions: dict[int, Fraction] = {}
     rows = []
     for _ in range(spec.agents):
         row = []
         for _ in range(spec.items):
             zero = rng.randrange(p.denominator) < p.numerator
-            value = 0 if zero else rng.randint(spec.low, spec.high)
-            fraction = fractions.get(value)
-            if fraction is None:
-                fraction = fractions[value] = Fraction(value)
-            row.append(fraction)
+            row.append(0 if zero else rng.randint(spec.low, spec.high))
         rows.append(tuple(row))
     return Instance(tuple(rows))
 

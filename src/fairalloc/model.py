@@ -1,16 +1,22 @@
 """Core data model: instances, allocations, and exact fairness factors.
 
-All arithmetic is exact. Valuations are non-negative rationals
-(`fractions.Fraction`); the only non-rational value that ever appears is
-`math.inf`, used for unbounded fairness factors and infinite envy ratios.
+All arithmetic is exact. Valuations are non-negative rationals; the only
+non-rational value that ever appears is `math.inf`, used for unbounded
+fairness factors and infinite envy ratios.
+
+An `Instance` stores each agent's row as given: a tuple of Python ints when
+every value of the row is an int, else a tuple of `fractions.Fraction`s.
+`Instance.valuations`, the public `Fraction` table, is built from the rows
+on first use, with one `Fraction` per distinct integer value.
 
 Decisions and checks read the valuations through two cached integer views
 of each `Instance`, one owned by each side. The solvers decide on
 `Instance.scaled_rows`, each row times its cached LCM of denominators
 (`Instance.row_scales`). The fairness checks read
 `Instance.check_values`, the same multiples scaled by their own code from
-the `Fraction`s into an object array of Python ints, and neither side reads
+the stored rows into an object array of Python ints, and neither side reads
 the other's view, so a wrong decision row cannot certify its own output.
+An integer row is its own scaled row, with scale 1, in both views.
 `_worst_rivals` reduces each agent's row of that view to one worst ratio
 v_i(own) / D_ij, a pair of integers, with array reductions over all bundles
 at once; `fairness_factor` compares the n rows' ratios by cross-multiplying
@@ -25,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -106,19 +112,56 @@ SQRT3_MINUS_ONE = Threshold.SQRT3_MINUS_ONE
 GOLDEN_RATIO_MINUS_ONE = Threshold.GOLDEN_RATIO_MINUS_ONE
 
 
+_INT_ONLY = {int}
+
+
+def _all_ints(row: tuple) -> bool:
+    """Whether every value is an int: `type(v) is int`, so not a bool."""
+    return {*map(type, row)} == _INT_ONLY
+
+
+def _stored_rows(
+    rows: Iterable[Iterable[object]], convert: Callable[[object], Fraction]
+) -> tuple[tuple[int, ...] | tuple[Fraction, ...], ...]:
+    """Rows as an `Instance` stores them: a row of ints only stays as it
+    is, any other row becomes `convert` of each value. Every row is
+    converted before any is validated."""
+    return tuple(
+        row if _all_ints(row) else tuple(map(convert, row)) for row in map(tuple, rows)
+    )
+
+
+def _is_int_row(row: tuple[int, ...] | tuple[Fraction, ...]) -> bool:
+    """Whether a stored `Instance` row is an integer row; a stored row holds
+    ints only or `Fraction`s only, so its first value decides."""
+    return type(row[0]) is int
+
+
 @dataclass(frozen=True)
 class Instance:
-    """Additive valuations: one row per agent, one column per item."""
+    """Additive valuations: one row per agent, one column per item.
 
-    valuations: tuple[tuple[Fraction, ...], ...]
+    `rows` holds each agent's values as given: a tuple of ints when every
+    value is an int (`type(v) is int`, so not a bool), else a tuple of
+    `Fraction`s. Equality and hashing compare values, so an integer row
+    equals the same row of `Fraction`s. `valuations` is the `Fraction`
+    table, built on first use.
+    """
+
+    rows: tuple[tuple[int, ...] | tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.valuations or not self.valuations[0]:
+        if not self.rows or not self.rows[0]:
             raise InvalidInstance("need at least one agent and one item")
-        width = len(self.valuations[0])
-        for row in self.valuations:
+        width = len(self.rows[0])
+        for row in self.rows:
             if len(row) != width:
                 raise InvalidInstance("valuation rows have unequal lengths")
+            if _all_ints(row):
+                if min(row) < 0:
+                    first = next(v for v in row if v < 0)
+                    raise InvalidInstance(f"negative valuation {first}")
+                continue
             for v in row:
                 if not isinstance(v, Fraction):
                     raise InvalidInstance(f"valuation {v!r} is not a Fraction")
@@ -127,48 +170,73 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        """An instance from rows of ints, "p/q" strings or `Fraction`s: a row
+        of ints only is kept as ints, any other row becomes `Fraction`s."""
+        return cls(_stored_rows(rows, Fraction))
 
     @property
     def agent_count(self) -> int:
-        return len(self.valuations)
+        return len(self.rows)
 
     @property
     def item_count(self) -> int:
-        return len(self.valuations[0])
+        return len(self.rows[0])
+
+    @functools.cached_property
+    def valuations(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every value as a `Fraction`, built on first use and cached. A
+        `Fraction` row is the stored row; an integer row takes one shared
+        `Fraction` per distinct value of the instance."""
+        shared: dict[int, Fraction] = {}
+        table = []
+        for row in self.rows:
+            if _is_int_row(row):
+                for v in set(row).difference(shared):
+                    shared[v] = Fraction(v)
+                row = tuple(map(shared.__getitem__, row))
+            table.append(row)
+        return tuple(table)
 
     @functools.cached_property
     def row_scales(self) -> tuple[int, ...]:
         """The LCM of each agent's denominators: the factor `scaled_rows`
-        multiplies that agent's row by."""
-        return tuple(math.lcm(*(v.denominator for v in row)) for row in self.valuations)
+        multiplies that agent's row by; 1 for an integer row."""
+        return tuple(
+            1 if _is_int_row(row) else math.lcm(*(v.denominator for v in row))
+            for row in self.rows
+        )
 
     @functools.cached_property
     def scaled_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each agent's row times its `row_scales` entry, as ints. The
-        solvers' decisions read these; one positive factor per row changes
-        none of them, since each compares values of one agent only."""
+        """Each agent's row times its `row_scales` entry, as ints: an integer
+        row is the stored row itself. The solvers' decisions read these; one
+        positive factor per row changes none of them, since each compares
+        values of one agent only."""
         return tuple(
-            tuple(v.numerator * (scale // v.denominator) for v in row)
-            for row, scale in zip(self.valuations, self.row_scales)
+            row if _is_int_row(row)
+            else tuple(v.numerator * (scale // v.denominator) for v in row)
+            for row, scale in zip(self.rows, self.row_scales)
         )
 
     @functools.cached_property
     def check_values(self) -> np.ndarray:
         """The fairness checks' own integer view: each agent's row times the
         LCM of that row's denominators, as an n x m NumPy array of Python
-        ints (dtype object), exact at any size. It is scaled here from the
-        `Fraction` valuations, apart from `row_scales` and `scaled_rows`, and
-        only the checks read it, so a wrong decision row cannot certify its
-        own output."""
-        rows = []
-        for row in self.valuations:
-            nums, dens = zip(*map(Fraction.as_integer_ratio, row))
-            scale = math.lcm(*dens)
-            if scale != 1:
-                nums = [num * (scale // den) for num, den in zip(nums, dens)]
-            rows.append(nums)
-        return np.array(rows, dtype=object)
+        ints (dtype object), exact at any size. It is built here from the
+        stored rows, apart from `row_scales` and `scaled_rows`: an integer
+        row is taken as it is, a `Fraction` row is scaled value by value. Only
+        the checks read it, so a wrong decision row cannot certify its own
+        output."""
+        table = []
+        for row in self.rows:
+            if not _is_int_row(row):
+                nums, dens = zip(*map(Fraction.as_integer_ratio, row))
+                scale = math.lcm(*dens)
+                if scale != 1:
+                    nums = [num * (scale // den) for num, den in zip(nums, dens)]
+                row = nums
+            table.append(row)
+        return np.array(table, dtype=object)
 
     def value(self, agent: int, item: int) -> Fraction:
         if not 0 <= agent < self.agent_count:
@@ -362,7 +430,7 @@ def fairness_factor(
     the first strict minimum in envier order, so the witness is the first
     pair attaining the factor in (i, j) order, and is reduced to a
     `Fraction` once. The rows are read from `Instance.check_values`, scaled
-    from the `Fraction` valuations once per instance.
+    from the stored rows once per instance.
     """
     check_allocation(instance, allocation)
     best_num, best_den = 0, 1

@@ -53,6 +53,8 @@ from fairalloc.files import (
     GenSpec,
     allocation_to_json,
     generate_instance,
+    instance_from_json,
+    instance_to_json,
     random_instances,
     trace_from_lines,
     trace_to_lines,
@@ -400,8 +402,11 @@ class TestCompletionWork:
         """A checks-on solve runs the exact checker n + 2 times and the
         caller's `fairness_factor` once more; all of them read one integer
         view, scaled once, so at most one `as_integer_ratio` call reaches
-        each of the n*m values."""
-        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        each of the n*m values of a `Fraction` instance (here every value
+        over 7), and none of an integer instance, whose rows are their own
+        view."""
+        integers = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        sevenths = Instance(tuple(tuple(v / 7 for v in row) for row in integers.valuations))
         calls = 0
         as_integer_ratio = Fraction.as_integer_ratio
 
@@ -411,10 +416,49 @@ class TestCompletionWork:
             return as_integer_ratio(value)
 
         monkeypatch.setattr(Fraction, "as_integer_ratio", counted)
-        allocation, trace = solve_efx(instance, check=True)
-        fairness_factor(instance, allocation, EFX)
-        assert sum(isinstance(e, InvariantChecked) for e in trace) > instance.agent_count
-        assert 0 < calls <= instance.agent_count * instance.item_count
+        scaled = {}
+        for name, instance in (("sevenths", sevenths), ("integers", integers)):
+            calls = 0
+            allocation, trace = solve_efx(instance, check=True)
+            fairness_factor(instance, allocation, EFX)
+            assert sum(isinstance(e, InvariantChecked) for e in trace) > instance.agent_count
+            scaled[name] = calls
+        assert 0 < scaled["sevenths"] <= integers.agent_count * integers.item_count
+        assert scaled["integers"] == 0
+
+    @pytest.mark.parametrize("agents", [6, 3])
+    def test_a_file_to_file_solve_builds_no_fraction_per_value(self, monkeypatch, agents):
+        """One small-batch-shaped operation on an integer file of 12 items --
+        parse, checks-on `solve_efr` and `solve_efx`, then both output files
+        -- builds no `Fraction` per value: only the envy ranks (n per certify
+        step: the matching's and the certificate check's) and one factor per
+        exact check. The `Fraction` table is never built. With 6 agents
+        refinement empties the pool; with 3 the refinement pool bounds and
+        completion's checks run too."""
+        spec = GenSpec(agents, 12, 0, 100, Fraction(1, 10), 3)
+        text = instance_to_json(generate_instance(spec))
+        built = 0
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        instance = instance_from_json(text)
+        allowed = 0
+        for solver in (solve_efr, solve_efx):
+            allocation, trace = solver(instance)
+            allocation_to_json(allocation)
+            trace_to_lines(trace)
+            factors = sum(
+                isinstance(e, InvariantChecked) and e.name == "completion-factor" for e in trace
+            )
+            allowed += 2 * instance.agent_count + factors + 1
+        monkeypatch.undo()
+        assert built <= allowed < instance.agent_count * instance.item_count
+        assert "valuations" not in vars(instance)
 
     def test_the_checker_sums_no_bundle_and_yields_one_ratio_per_envier(
         self, monkeypatch

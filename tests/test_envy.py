@@ -447,6 +447,21 @@ class TestEnvyCycles:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_public_search_over_an_1100_agent_chain(self):
+        # Past the default recursion limit through the public API alone:
+        # `Instance.from_rows` builds the chain, `find_envy_cycle` searches
+        # it. Agent i envies only agent i+1; without the last agent's envy of
+        # agent 0 the graph is acyclic.
+        n = 1100
+        assert sys.getrecursionlimit() < n
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i], rows[i][(i + 1) % n] = 1, 2
+        allocation = Allocation.of([[i] for i in range(n)], n)
+        assert find_envy_cycle(Instance.from_rows(rows), allocation) == tuple(range(n))
+        rows[n - 1][0] = 0
+        assert find_envy_cycle(Instance.from_rows(rows), allocation) is None
+
     def test_matrix_search_over_a_2000_agent_chain(self):
         # The chain is longer than the default recursion limit allows a
         # recursive search to walk; only the back edge closes a cycle.

@@ -1,11 +1,27 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from fairalloc import Allocation, Instance, InvalidAllocation, InvalidInstance, solve_efr
+from fairalloc import (
+    INF,
+    Allocation,
+    FairnessNotion,
+    Instance,
+    InvalidAllocation,
+    InvalidInstance,
+    InvariantChecked,
+    MatchingDone,
+    Pick,
+    solve_efr,
+    solve_efx,
+)
+from fairalloc.algorithms import AgentGroups, CycleRotated, GroupsAssigned, SourcePick
+from fairalloc.envy import EnvyRanks
 from fairalloc.files import (
     GenSpec,
+    _event_to_dict,
     allocation_from_json,
     allocation_to_json,
     generate_instance,
@@ -58,8 +74,79 @@ class TestInstanceFiles:
         with pytest.raises(InvalidInstance):
             instance_from_json("not json")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("[[-1]]", "negative valuation -1"),
+            ("[[2, -1, -3]]", "negative valuation -1"),
+            ("[[1, true]]", "expected an integer or 'p/q' string, got True"),
+            ("[[0.5]]", "expected an integer or 'p/q' string, got 0.5"),
+            ('[["1/0"]]', "bad rational '1/0': Fraction(1, 0)"),
+            ("[[1, 2], [1]]", "valuation rows have unequal lengths"),
+            ("[]", "need at least one agent and one item"),
+            ("[[]]", "need at least one agent and one item"),
+            ('[[1, "1/2", -3]]', "negative valuation -3"),
+            ('[[1, "-1/2"]]', "negative valuation -1/2"),
+            ("[[-1], [true]]", "expected an integer or 'p/q' string, got True"),
+        ],
+    )
+    def test_bad_rows_raise_the_same_errors(self, rows, message):
+        # every value is read before any row is checked, as for p/q rows
+        with pytest.raises(InvalidInstance) as raised:
+            instance_from_json(f'{{"valuations": {rows}}}')
+        assert str(raised.value) == message
+
+    def test_integer_rows_stay_ints_and_other_rows_become_fractions(self):
+        instance = instance_from_json('{"valuations": [[3, 0, 2], [1, "1/2", 4]]}')
+        assert instance.rows == ((3, 0, 2), (Fraction(1), Fraction(1, 2), Fraction(4)))
+        assert [type(v) for row in instance.rows for v in row] == [int] * 3 + [Fraction] * 3
+        assert instance.scaled_rows == ((3, 0, 2), (2, 1, 8))
+        assert instance.row_scales == (1, 2)
+        assert instance.valuations == ((3, 0, 2), (1, Fraction(1, 2), 4))
+        assert all(type(v) is Fraction for row in instance.valuations for v in row)
+
+    def test_integer_rows_equal_and_hash_as_fraction_rows(self):
+        ints = Instance.from_rows([[1, 2]])
+        fractions = Instance(((Fraction(1), Fraction(2)),))
+        assert type(ints.rows[0][0]) is int and type(fractions.rows[0][0]) is Fraction
+        assert ints == fractions and hash(ints) == hash(fractions)
+
+    def test_a_bool_takes_the_fraction_path(self):
+        instance = Instance.from_rows([[True, 2]])
+        assert instance.rows == ((Fraction(1), Fraction(2)),)
+        assert type(instance.rows[0][0]) is Fraction
+        with pytest.raises(InvalidInstance, match="valuation True is not a Fraction"):
+            Instance(((True, 2),))
+
+    def test_the_fraction_table_shares_one_fraction_per_distinct_value(self):
+        instance = Instance.from_rows([[5, 0, 5], [0, 5, 7]])
+        values = [v for row in instance.valuations for v in row]
+        assert len({id(v) for v in values}) == 3
+        assert instance.valuations is instance.valuations
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_files_are_written_back_byte_for_byte(self, seed):
+        spec = GenSpec(1 + seed, 2 + 3 * seed, 0, 10**seed, Fraction(seed % 3, 4), seed)
+        text = instance_to_json(generate_instance(spec))
+        assert instance_to_json(instance_from_json(text)) == text
+
+
+def random_allocation(rng: random.Random, n: int, m: int) -> Allocation:
+    """Each item held by a random agent or left in the pool."""
+    holders = [rng.randrange(n + 1) for _ in range(m)]  # n: left in the pool
+    return Allocation.of(([g for g in range(m) if holders[g] == i] for i in range(n)), m)
+
 
 class TestAllocationFiles:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_written_as_json_dumps_writes_each_list(self, seed):
+        rng = random.Random(seed)
+        allocation = random_allocation(rng, rng.randint(1, 8), rng.randint(1, 40))
+        bundles = ",\n".join("    " + json.dumps(sorted(b)) for b in allocation.bundles)
+        remaining = json.dumps(sorted(allocation.remaining))
+        expected = f'{{\n  "bundles": [\n{bundles}\n  ],\n  "remaining": {remaining}\n}}\n'
+        assert allocation_to_json(allocation) == expected
+
     def test_round_trip(self, two_by_five):
         alloc = Allocation.of([[0, 2], [3]], 5)
         parsed = allocation_from_json(allocation_to_json(alloc), two_by_five)
@@ -102,12 +189,68 @@ class TestAllocationFiles:
             allocation_from_json('{"bundles": [[0], 1]}', two_by_five)
 
 
+def reference_lines(trace) -> str:
+    """The trace writer's reference: `json.dumps` of each event's dict."""
+    return "".join(json.dumps(_event_to_dict(e)) + "\n" for e in trace)
+
+
+# quotes, backslashes, every control character, DEL, non-ASCII text, a line
+# separator and a character outside the Basic Multilingual Plane
+TEXT_ALPHABET = ['"', "\\", "/", *map(chr, range(32)), "\x7f", "é", "漢", "\u2028", "😀", "a", "-"]
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randrange(12)))
+
+
+def random_event(rng: random.Random, n: int, m: int):
+    kind = rng.randrange(6)
+    if kind == 0:
+        allocation = random_allocation(rng, n, m)
+        ranks = tuple(
+            INF if rng.randrange(4) == 0 else Fraction(rng.randrange(100), rng.randrange(1, 9))
+            for _ in range(n)
+        )
+        return MatchingDone(allocation, EnvyRanks(ranks))
+    if kind == 1:
+        mode = rng.choice([FairnessNotion.EFR, FairnessNotion.EFX])
+        groups = [set(), set(), set()]
+        for agent in range(n):
+            groups[rng.randrange(3 if mode is FairnessNotion.EFR else 2)].add(agent)
+        return GroupsAssigned(AgentGroups(mode, *map(frozenset, groups)))
+    if kind == 2:
+        return Pick(rng.randrange(n), rng.randrange(m), random_text(rng))
+    if kind == 3:
+        return CycleRotated(tuple(rng.sample(range(n), rng.randrange(2, n + 1))))
+    if kind == 4:
+        return SourcePick(rng.randrange(n), rng.randrange(m))
+    return InvariantChecked(random_text(rng), rng.random() < 0.5)
+
+
 class TestTraceFiles:
     def test_round_trip_through_lines(self, four_by_four):
         _, trace = solve_efr(four_by_four)
         text = trace_to_lines(trace)
         assert trace_from_lines(text) == trace
         assert all(line.startswith("{") for line in text.splitlines())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lines_match_json_dumps_byte_for_byte(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(2, 12), rng.randint(2, 1000)
+        trace = [random_event(rng, n, m) for _ in range(60)]
+        assert {type(e) for e in trace} == {
+            MatchingDone, GroupsAssigned, Pick, CycleRotated, SourcePick, InvariantChecked
+        }
+        text = trace_to_lines(trace)
+        assert text.encode() == reference_lines(trace).encode()
+        assert trace_from_lines(text) == trace
+
+    def test_solver_traces_match_json_dumps(self):
+        for _, instance in random_instances(40, (2, 6), (2, 12), 0, 100, (Fraction(1, 10),), 5):
+            for solve in (solve_efr, solve_efx):
+                _, trace = solve(instance)
+                assert trace_to_lines(trace) == reference_lines(trace)
 
 
 class TestGeneration:

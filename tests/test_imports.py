@@ -156,9 +156,9 @@ CHECKERS = {
 DECISION_CACHES = {"scaled_rows", "row_scales"}
 
 
-def names_read(function: ast.FunctionDef) -> set[str]:
-    """Every name, attribute and string constant in the function's body,
-    its docstring aside."""
+def names_read(function: ast.FunctionDef | ast.Module) -> set[str]:
+    """Every name, attribute and string constant in the body of a function
+    or module, its docstring aside."""
     body = function.body
     if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
         body = body[1:]
@@ -235,3 +235,28 @@ def test_the_check_view_guard_sees_methods_and_nested_functions():
     assert functions_naming(source, CHECK_VIEW, CHECK_VIEW_READERS) == [
         "inner", "outer", "pick"
     ]
+
+
+# The solve path builds no `Fraction` table: `Instance.valuations` is built on
+# first use, and neither the decisions nor the checks of a solve name it. A
+# repair move still compares exact `Fraction`s, through
+# `matching.lexicographic_objective` and `model.bundle_value`.
+FRACTION_TABLE = "valuations"
+SOLVE_MODULES = ("algorithms", "envy", "matching")
+
+
+@pytest.mark.parametrize("module", SOLVE_MODULES)
+def test_the_solve_path_names_no_fraction_table(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert FRACTION_TABLE not in names_read(tree)
+
+
+def test_the_fraction_table_guard_sees_names_attributes_and_strings_not_docstrings():
+    for source in (
+        "def f(x):\n    return x.valuations\n",
+        "def g(x):\n    return getattr(x, 'valuations')\n",
+        "class C:\n    def h(self, valuations):\n        return valuations\n",
+    ):
+        assert FRACTION_TABLE in names_read(ast.parse(source))
+    source = "'''valuations'''\ndef f(x):\n    '''reads no valuations'''\n    return x.rows\n"
+    assert FRACTION_TABLE not in names_read(ast.parse(source))
