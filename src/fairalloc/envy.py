@@ -8,21 +8,22 @@ Bundle values are summed on `Instance.scaled_rows`, exact integers with one
 positive factor per agent: every question asked here (a ratio, strict envy)
 compares values of one agent with each other, so the factor cancels.
 
-A 0 weight absorbs everything (a path or cycle through it can never beat the
-empty path), and inf dominates any positive product. The one max-product
-relaxation behind improving cycles, envy ranks and rank-attaining paths runs
-on integers: each positive weight is an edge (i, j, k, num, den) meaning
-inf**k * num/den, so a finite other/own is (0, other, own) and inf is
-(1, 1, 1), and each agent's value is a triple (k, num, den) of the same
-form. Along a path the k parts add and the fractions multiply; values
-compare on k first, then by cross-multiplying the fractions. A cycle through
-an infinite edge is then improving like any other, and a rank with k > 0
-reads back as INF. Every caller reads its edges from an integer value matrix with
-`_value_edges`: the matching from the matrix it has just summed, the public
-graph queries from the matrix an `EnvyRatioGraph` holds. `_value_matrix` is
-the one place a matrix is summed from bundles; the solvers sum one per
-matching step and keep the last one up to date through refinement and
-completion.
+The one max-product relaxation behind improving cycles, envy ranks and
+rank-attaining paths reads the integer value matrix values[i][j] = v_i(B_j)
+directly: the matching passes the matrix it has just summed, the public
+graph queries the matrix an `EnvyRatioGraph` holds. A positive weight is
+inf**k * a/b with k = 0, a = other, b = own for a finite other/own, and
+k = 1, a = b = 1 for inf; each agent's value is a triple (k, num, den) of
+the same form. Along a path the k parts add and the fractions multiply;
+values compare on k first, then by cross-multiplying the fractions. A cycle
+through an infinite edge is then improving like any other, and a rank with
+k > 0 reads back as INF. A weight-0 edge can never beat the empty path, so
+it is never listed, and an agent still at the all-ones baseline lists only
+its edges of weight > 1, the only ones that can raise a rank from there: a
+pass costs the strict-envy edges plus the out-edges of the agents whose
+rank ends above 1, not all n(n-1) ratios. `_value_matrix` is the one place
+a matrix is summed from bundles; the solvers sum one per matching step and
+keep the last one up to date through refinement and completion.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
 iff values[i][j] > values[i][i] (`_envy_masks`). The solvers build the masks
@@ -53,7 +54,6 @@ from .model import (
 )
 
 Cycle = tuple[int, ...]
-Edge = tuple[int, int, int, int, int]  # (i, j, k, num, den): inf**k * num/den
 
 
 @dataclass(frozen=True)
@@ -123,55 +123,79 @@ def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRa
     return EnvyRatioGraph(tuple(map(tuple, _value_matrix(instance, allocation))))
 
 
-def _value_edges(values: Sequence[Sequence[int]]) -> list[Edge]:
-    """The envy-ratio edges of a value matrix values[i][j] = v_i(B_j), in
-    `pairs()` order: the positive weights of `EnvyRatioGraph.weight`, kept
-    as the unreduced integers other/own. The one front end of
-    `_relax_max_product`."""
-    edges = []
-    for i, row in enumerate(values):
-        own = row[i]
-        for j, other in enumerate(row):
-            if j != i and other > 0:
-                edges.append((i, j, 0, other, own) if own else (i, j, 1, 1, 1))
-    return edges
+def _out_edges(row: Sequence[int], agent: int, floor: int) -> list[tuple[int, int]]:
+    """The agent's envy-ratio edges toward the bundles it values above
+    `floor` (at least 0), as (j, a) in j order, from its row of a value
+    matrix: the weight is a/own, or inf with a = 1 when own is 0."""
+    if max(row) <= floor:
+        return []
+    own = row[agent]
+    return [
+        (j, other if own else 1)
+        for j, other in enumerate(row)
+        if other > floor and j != agent
+    ]
 
 
 def _relax_max_product(
-    n: int, edges: list[Edge]
+    n: int, values: Sequence[Sequence[int]]
 ) -> tuple[EnvyRanks, list[int | None]]:
-    """Envy ranks plus the predecessor links of rank-attaining paths.
+    """Envy ranks plus the predecessor links of rank-attaining paths, on the
+    envy-ratio graph of the value matrix values[i][j] = v_i(B_j).
 
     Max-product Bellman-Ford over integer (k, num, den) values from the
-    all-ones baseline, on positive edges in `pairs()` order (a weight-0
-    edge can never beat the empty path, so it is never listed): at most
-    n - 1 rounds, stopping after a round without change, then one probing
-    round. A candidate num_i*a / (den_i*b) beats num_j/den_j when
-    num_i*a*den_j > num_j*den_i*b (equal k parts), and a gcd reduces a
-    value only when it is updated. An edge that still improves in the
-    probe closes an improving cycle in the predecessor links, which is
-    raised as ImprovingCycleExists. Otherwise the values are exactly the
-    simple-path maxima (any walk reduces to a simple path of at least the
-    same product once no cycle beats 1).
+    all-ones baseline: at most n - 1 rounds, each over the agents in index
+    order and each agent's edges in j order, stopping after a round without
+    change, then one probing round. A candidate num_i*a / (den_i*b) beats
+    num_j/den_j when num_i*a*den_j > num_j*den_i*b (equal k parts), and a
+    gcd reduces a value only when it is updated. An edge that still
+    improves in the probe closes an improving cycle in the predecessor
+    links, which is raised as ImprovingCycleExists. Otherwise the values are
+    exactly the simple-path maxima (any walk reduces to a simple path of at
+    least the same product once no cycle beats 1).
+
+    Each agent's edge lists are built once, when a round first needs them.
+    An agent still at the baseline (no predecessor yet) scans only its
+    edges of weight > 1, those to bundles it values above its own: from
+    p_i = 1 an edge of weight w <= 1 offers p_i * w <= 1 <= p_j, which
+    improves nothing, and p_i cannot change while i's edges are scanned
+    (there are no self-edges). So every value, predecessor, change flag and
+    probe outcome is that of the scan over all positive edges. An agent
+    that has left the baseline scans all its positive edges. The work is
+    therefore the strict-envy edges plus at most n - 1 edges per agent of
+    rank above 1.
     """
     ks, nums, dens = [0] * n, [1] * n, [1] * n
     preds: list[int | None] = [None] * n
+    strong: list[list[tuple[int, int]] | None] = [None] * n  # weight > 1 only
+    full: list[list[tuple[int, int]] | None] = [None] * n  # every positive weight
     for round_ in range(n):  # the last round is the probe
         changed = False
-        for i, j, k, a, b in edges:
-            kc = ks[i] + k
-            if kc > ks[j] or (
-                kc == ks[j] and nums[i] * a * dens[j] > nums[j] * dens[i] * b
-            ):
-                preds[j] = i
-                if round_ == n - 1:
-                    cycle = _cycle_from_predecessors(preds, j, n)
-                    assert _is_improving(cycle, edges)
-                    raise ImprovingCycleExists(cycle)
-                num, den = nums[i] * a, dens[i] * b
-                g = math.gcd(num, den)
-                ks[j], nums[j], dens[j] = kc, num // g, den // g
-                changed = True
+        for i, row in enumerate(values):
+            if preds[i] is None:
+                edges = strong[i]
+                if edges is None:
+                    edges = strong[i] = _out_edges(row, i, row[i])
+            else:
+                edges = full[i]
+                if edges is None:
+                    edges = full[i] = _out_edges(row, i, 0)
+            if not edges:
+                continue
+            own = row[i]
+            kc = ks[i] + (0 if own else 1)
+            num_i, den_i = nums[i], dens[i] * (own or 1)
+            for j, a in edges:
+                if kc > ks[j] or (kc == ks[j] and num_i * a * dens[j] > nums[j] * den_i):
+                    preds[j] = i
+                    if round_ == n - 1:
+                        cycle = _cycle_from_predecessors(preds, j, n)
+                        assert _is_improving(cycle, values)
+                        raise ImprovingCycleExists(cycle)
+                    num = num_i * a
+                    g = math.gcd(num, den_i)
+                    ks[j], nums[j], dens[j] = kc, num // g, den_i // g
+                    changed = True
         if not changed:
             break
     ranks = tuple(
@@ -180,13 +204,18 @@ def _relax_max_product(
     return EnvyRanks(ranks), preds
 
 
-def _is_improving(cycle: Cycle, edges: list[Edge]) -> bool:
-    """Whether the cycle's exact edge product exceeds 1."""
-    weights = {(i, j): (k, a, b) for i, j, k, a, b in edges}
+def _is_improving(cycle: Cycle, values: Sequence[Sequence[int]]) -> bool:
+    """Whether the cycle's exact weight product, read from the value matrix,
+    exceeds 1."""
     k_sum, num, den = 0, 1, 1
     for t, i in enumerate(cycle):
-        k, a, b = weights[(i, cycle[(t + 1) % len(cycle)])]
-        k_sum, num, den = k_sum + k, num * a, den * b
+        own, other = values[i][i], values[i][cycle[(t + 1) % len(cycle)]]
+        if not other:
+            return False
+        if own:
+            num, den = num * other, den * own
+        else:
+            k_sum += 1
     return k_sum > 0 or num > den
 
 
@@ -218,7 +247,7 @@ def _predecessor_path(preds: list[int | None], agent: int) -> list[int]:
 def find_improving_cycle(graph: EnvyRatioGraph) -> Cycle | None:
     """Some directed cycle whose exact weight product exceeds 1, if any."""
     try:
-        _relax_max_product(graph.agent_count, _value_edges(graph.values))
+        _relax_max_product(graph.agent_count, graph.values)
     except ImprovingCycleExists as found:
         return found.cycle
     return None
@@ -229,7 +258,7 @@ def envy_ranks(graph: EnvyRatioGraph) -> EnvyRanks:
 
     Raises ImprovingCycleExists, naming a cycle, on a graph that has one.
     """
-    return _relax_max_product(graph.agent_count, _value_edges(graph.values))[0]
+    return _relax_max_product(graph.agent_count, graph.values)[0]
 
 
 def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
@@ -238,7 +267,7 @@ def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
     Returns [agent] alone when the empty path is maximal. Raises
     ImprovingCycleExists on graphs where ranks are undefined.
     """
-    preds = _relax_max_product(graph.agent_count, _value_edges(graph.values))[1]
+    preds = _relax_max_product(graph.agent_count, graph.values)[1]
     return _predecessor_path(preds, agent)
 
 

@@ -6,9 +6,10 @@ weight low enough that assignments are ranked first by how many agents end
 up with a positive value). The log table is read from the decision rows
 `Instance.scaled_rows`: a scaled value x of a row with scale s is
 (x/g) / (s/g) in lowest terms, g = gcd(x, s), and each distinct x per
-distinct s has its log math.log(x/g) - math.log(s/g) computed once, so the
-floats are exactly those of a value-by-value table on the reduced p/q. An
-exact repair loop then fixes anything the floats got wrong. Every iteration
+distinct s has its log math.log(x/g) - math.log(s/g) computed once (for
+s = 1 that is math.log(x), since math.log(1) is 0.0), so the floats are
+exactly those of a value-by-value table on the reduced p/q. An exact
+repair loop then fixes anything the floats got wrong. Every iteration
 is one certify-or-move step: a single max-product relaxation over the envy
 ratios either certifies the two properties every later step relies on,
 
@@ -20,10 +21,10 @@ matched items along the improving cycle it found, or, for the smallest
 (agent, pool item) breaking the second clause, a path move along the
 agent's maximum-product path that pulls the item in. `verify_nsw_certificate`
 is the same step run once on a given matching. The relaxation runs on
-integers only: each envy ratio is an edge (k, num, den), meaning
-inf**k * num/den, read straight from the integer value matrix on
-`Instance.scaled_rows` (other/own as (0, other, own), or (1, 1, 1) toward a
-positively valued bundle when own is 0), so no `EnvyRatioGraph` is built.
+integers only, straight on the integer value matrix on
+`Instance.scaled_rows`, so no `EnvyRatioGraph` is built, and it lists only
+the envy ratios that can raise a rank (`envy._relax_max_product`): on a
+matching with few envious agents it costs little more than their edges.
 The solvers keep the matrix of the certified matching (`_certified_matching`)
 and update it through the rest of the solve.
 
@@ -50,6 +51,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from itertools import chain
 
 import numpy as np
 
@@ -57,7 +59,6 @@ from .envy import (
     EnvyRanks,
     _predecessor_path,
     _relax_max_product,
-    _value_edges,
     _value_matrix,
     rotate_bundles,
 )
@@ -163,16 +164,23 @@ def _log_weights(instance: Instance) -> np.ndarray:
     x with scale s is p/q = (x/g) / (s/g), g = gcd(x, s), exactly the
     reduced `Fraction`, and its log takes the same two `math.log` calls and
     subtraction as per value, so every float is bit-identical to the
-    per-value table. The spread is read from the distinct logs, which have
-    the same minimum and maximum.
+    per-value table. The scale-1 memo is filled up front with one
+    `math.log` per distinct nonzero value of its rows: math.log(x) -
+    math.log(1) is math.log(x) exactly. The spread is read from the
+    distinct logs, which have the same minimum and maximum.
     """
-    memos: dict[int, _LogMemo] = {}
-    table = []
-    for row, scale in zip(instance.scaled_rows, instance.row_scales):
-        if scale not in memos:
-            memos[scale] = _LogMemo(scale)
-        table.append(list(map(memos[scale].__getitem__, row)))
-    weights = np.array(table, dtype=float)
+    rows, scales = instance.scaled_rows, instance.row_scales
+    memos = {scale: _LogMemo(scale) for scale in set(scales)}
+    if 1 in memos:
+        whole = set().union(*(row for row, scale in zip(rows, scales) if scale == 1))
+        whole.discard(0)
+        memos[1].update(zip(whole, map(math.log, whole)))
+    cells = chain.from_iterable(
+        map(memos[scale].__getitem__, row) for row, scale in zip(rows, scales)
+    )
+    weights = np.fromiter(
+        cells, dtype=float, count=instance.agent_count * instance.item_count
+    ).reshape(instance.agent_count, instance.item_count)
     finite = [
         log for memo in memos.values() for log in memo.values() if not math.isnan(log)
     ]
@@ -220,9 +228,10 @@ def _find_pool_violation(
     Decided in integers: a value v breaks the bound when v * num > bound,
     with (num, bound) = (rank.numerator, own * rank.denominator) for a
     finite rank and (1, 0) for an infinite one, which every positive value
-    breaks; a zero value breaks neither. An agent's items are scanned only
-    when its best pool value breaks the bound: rank * value grows with
-    value, so otherwise none of them does.
+    breaks; a zero value breaks neither. An agent's pool items are scanned
+    only when the largest value in its whole row breaks the bound: rank *
+    value grows with value, and the pool's values are among the row's, so
+    otherwise none of them does.
     """
     pool = sorted(allocation.remaining)
     for agent, row in enumerate(instance.scaled_rows):
@@ -231,7 +240,7 @@ def _find_pool_violation(
             num, bound = 1, 0
         else:
             num, bound = rank.numerator, values[agent][agent] * rank.denominator
-        if max(map(row.__getitem__, pool), default=0) * num <= bound:
+        if max(row) * num <= bound:
             continue
         for item in pool:
             if row[item] * num > bound:
@@ -245,7 +254,7 @@ def _certify_or_move(
     """The certified envy ranks, or the repair loop's next allocation, from
     the allocation's value matrix `values`."""
     try:
-        ranks, preds = _relax_max_product(instance.agent_count, _value_edges(values))
+        ranks, preds = _relax_max_product(instance.agent_count, values)
     except ImprovingCycleExists as found:
         return rotate_bundles(allocation, found.cycle)
     violation = _find_pool_violation(instance, allocation, values, ranks)

@@ -25,13 +25,14 @@ from fairalloc import (
     strict_envy_edges,
     topological_order,
 )
+from fairalloc import envy
 from fairalloc.envy import (
     _cycle_from_predecessors,
     _relax_max_product,
-    _value_edges,
     _value_matrix,
     envy_cycle_in,
 )
+from fairalloc.files import GenSpec, generate_instance
 from fairalloc.oracle import oracle_envy_rank, oracle_improving_cycle
 
 from envy_reference import cycle_weights, product, reference_envy_cycle
@@ -329,53 +330,120 @@ def reference_relaxation(graph):
     return tuple(INF if k else x for k, x in values), preds
 
 
-def kernel_outcome(n, edges):
+def kernel_outcome(n, values):
     try:
-        ranks, preds = _relax_max_product(n, edges)
+        ranks, preds = _relax_max_product(n, values)
     except ImprovingCycleExists as found:
         return "cycle", found.cycle
     return ranks.ranks, preds
 
 
+def small_relaxation_instance(rng):
+    """2-7 agents, values p/q or (10^40+r)/7 mixed within a row, with
+    zeros (hence infinite edges) at one of three rates."""
+    n = rng.randint(2, 7)
+    m = rng.randint(n, n + 3)
+    zero_chance = rng.choice((0.0, 0.3, 0.7))
+    return Instance.from_rows(
+        [
+            [
+                Fraction(0) if rng.random() < zero_chance
+                else rng.choice(
+                    (
+                        Fraction(rng.randint(1, 30), rng.randint(1, 9)),
+                        Fraction(10**40 + rng.randint(0, 3), 7),
+                    )
+                )
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def wide_relaxation_instance(rng):
+    """8-16 agents, each row all integers or (one in four) all 41-digit
+    (x*10^40+r)/7, with zeros, so ranks above 1 spread over several agents
+    and agents leave the baseline partway through a round. The factor x
+    keeps most big values apart in float logs: rows of near-ties alone take
+    the matching's exact repair loop seconds per instance."""
+    n = rng.randint(8, 16)
+    m = rng.randint(n, n + 8)
+    rows = []
+    for _ in range(n):
+        big = rng.random() < 0.25
+        rows.append(
+            [
+                0 if rng.random() < 0.15
+                else Fraction(rng.randint(1, 60) * 10**40 + rng.randint(0, 9), 7) if big
+                else rng.randint(1, 60)
+                for _ in range(m)
+            ]
+        )
+    return Instance.from_rows(rows)
+
+
 class TestIntegerRelaxation:
     def test_both_front_ends_match_the_fraction_reference(self):
         """Ranks, predecessor links and raised cycles on one-item allocations
-        (a random one and the certified matching per instance) with zeros,
+        (a random one and the certified matching per instance), from the
+        matrix the matching sums and from the one a graph holds, with zeros,
         hence infinite edges, and huge rationals."""
         rng = random.Random(2718)
-        seen = {"cycle": 0, "ranks": 0, "infinite edge": 0, "infinite rank": 0}
-        for _ in range(400):
-            n = rng.randint(2, 7)
-            m = rng.randint(n, n + 3)
-            zero_chance = rng.choice((0.0, 0.3, 0.7))
-            instance = Instance.from_rows(
-                [
-                    [
-                        Fraction(0) if rng.random() < zero_chance
-                        else rng.choice(
-                            (
-                                Fraction(rng.randint(1, 30), rng.randint(1, 9)),
-                                Fraction(10**40 + rng.randint(0, 3), 7),
-                            )
-                        )
-                        for _ in range(m)
-                    ]
-                    for _ in range(n)
-                ]
+        seen = {
+            "cycle": 0, "ranks": 0, "infinite edge": 0, "infinite rank": 0,
+            "n >= 8, 3+ ranks above 1": 0,
+        }
+        for case in range(440):
+            instance = (
+                small_relaxation_instance(rng) if case < 400
+                else wide_relaxation_instance(rng)
             )
+            n, m = instance.agent_count, instance.item_count
             random_matching = Allocation.of([[g] for g in rng.sample(range(m), n)], m)
             for allocation in (random_matching, nsw_matching(instance).allocation):
                 graph = build_envy_ratio_graph(instance, allocation)
                 expected = reference_relaxation(graph)
-                value_edges = _value_edges(_value_matrix(instance, allocation))
-                assert kernel_outcome(n, value_edges) == expected
+                assert kernel_outcome(n, _value_matrix(instance, allocation)) == expected
+                assert kernel_outcome(n, graph.values) == expected
                 found_cycle = expected[0] == "cycle"
                 seen["cycle" if found_cycle else "ranks"] += 1
                 seen["infinite edge"] += any(
                     graph.weight(i, j) == INF for i, j in graph.pairs()
                 )
                 seen["infinite rank"] += not found_cycle and INF in expected[0]
+                seen["n >= 8, 3+ ranks above 1"] += (
+                    n >= 8 and not found_cycle
+                    and sum(rank != 1 for rank in expected[0]) >= 3
+                )
         assert min(seen.values()) >= 30, seen
+
+    def test_lists_only_the_edges_that_can_raise_a_rank(self, monkeypatch):
+        """On the certified matchings of 40 agents and 120 items, the pass
+        lists at most the strict-envy edges plus n - 1 edges per agent whose
+        rank ends above 1, far fewer than the n(n-1) positive ratios."""
+        listed = []
+        out_edges = envy._out_edges
+
+        def counting(row, agent, floor):
+            edges = out_edges(row, agent, floor)
+            listed.append(len(edges))
+            return edges
+
+        monkeypatch.setattr(envy, "_out_edges", counting)
+        for seed in range(1, 9):
+            instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), seed))
+            allocation = nsw_matching(instance).allocation
+            values = _value_matrix(instance, allocation)
+            listed.clear()
+            ranks = _relax_max_product(40, values)[0]
+            bound = len(strict_envy_edges(instance, allocation)) + 39 * sum(
+                rank != 1 for rank in ranks.ranks
+            )
+            positive = sum(v > 0 for row in values for v in row) - sum(
+                values[i][i] > 0 for i in range(40)
+            )
+            assert 0 < sum(listed) <= bound < positive // 2, (listed, bound, positive)
 
 
 class TestTopologicalOrder:

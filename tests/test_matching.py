@@ -394,6 +394,20 @@ class TestPoolViolation:
             found += expected is not None
         assert ties > 100 and 150 < found < 450
 
+    @pytest.mark.parametrize(
+        "rank, expected", [(Fraction(1), None), (Fraction(3, 2), (0, 3))]
+    )
+    def test_a_row_maximum_held_by_another_agent(self, rank, expected):
+        """Agent 0's best item is agent 1's: 10 * rank > 4 breaks the bound,
+        but only pool items count. At rank 1 every pool value passes; at
+        rank 3/2 the pool value 3 breaks it (4.5 > 4) and 2 does not."""
+        instance = Instance.from_rows([[4, 10, 2, 3], [1, 5, 1, 1]])
+        allocation = Allocation.of([[0], [1]], 4)
+        ranks = EnvyRanks((rank, Fraction(1)))
+        values = _value_matrix(instance, allocation)
+        assert reference_pool_violation(instance, allocation, ranks) == expected
+        assert _find_pool_violation(instance, allocation, values, ranks) == expected
+
 
 class TestMatchingProperties:
     """Seeded sweeps over the small-instance space (the acceptance suite runs
