@@ -7,9 +7,14 @@ Items and agents are 0-indexed everywhere.
 
 An instance row of JSON integers only is kept as a tuple of ints (see
 `model.Instance`); any other row is parsed value by value into `Fraction`s.
-Seeded generation draws integers, so its rows are integer rows. The four
+Seeded generation draws integers, so its rows are integer rows. It calls
+`random.Random.getrandbits` directly with CPython's own rule for a draw
+below n (`_randbelow_with_getrandbits`: k = n.bit_length() bits, drawn
+again while the result is >= n), which is what `randrange(n)` runs and
+`randint(a, b)` runs as `a + randrange(b - a + 1)`; every seed therefore
+gives the instance those calls give. An all-int instance row and the four
 per-step trace events are written as formatted lines, the same bytes as
-`json.dumps` gives for their dicts.
+`json.dumps` gives.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .model import (
     ExtendedRational,
     FairnessNotion,
     Instance,
+    _is_int_row,
     _stored_rows,
     is_infinite,
 )
@@ -86,7 +92,10 @@ def _int_list(values: Iterable[int]) -> str:
 
 
 def instance_to_json(instance: Instance, generator: "GenSpec | None" = None) -> str:
-    rows = [json.dumps([format_rational(v) for v in row]) for row in instance.rows]
+    rows = [
+        _int_list(row) if _is_int_row(row) else json.dumps([format_rational(v) for v in row])
+        for row in instance.rows
+    ]
     lines = [
         "{",
         f'  "n": {instance.agent_count},',
@@ -301,15 +310,33 @@ def generate_instance(spec: GenSpec) -> Instance:
     """Deterministic instance for a spec: each value is 0 with the configured
     probability (decided exactly on the rational), else uniform in [low, high].
 
+    Per value, a draw r below the probability's denominator decides: r below
+    its numerator gives 0; otherwise a draw r below high - low + 1 gives
+    low + r. A draw below n takes n.bit_length() bits from `getrandbits` and
+    draws again while the result is >= n, as `randrange(n)` does in CPython,
+    so the values are those of `randrange(denominator) < numerator` and
+    `randint(low, high)`, for every n >= 1 and every width.
+
     Every row is an integer row (see `model.Instance`)."""
-    rng = random.Random(spec.seed)
-    p = spec.zero_probability
+    getrandbits = random.Random(spec.seed).getrandbits
+    numerator = spec.zero_probability.numerator
+    denominator = spec.zero_probability.denominator
+    low, width = spec.low, spec.high - spec.low + 1
+    zero_bits, value_bits = denominator.bit_length(), width.bit_length()
     rows = []
     for _ in range(spec.agents):
         row = []
         for _ in range(spec.items):
-            zero = rng.randrange(p.denominator) < p.numerator
-            row.append(0 if zero else rng.randint(spec.low, spec.high))
+            r = getrandbits(zero_bits)
+            while r >= denominator:
+                r = getrandbits(zero_bits)
+            if r < numerator:
+                row.append(0)
+                continue
+            r = getrandbits(value_bits)
+            while r >= width:
+                r = getrandbits(value_bits)
+            row.append(low + r)
         rows.append(tuple(row))
     return Instance(tuple(rows))
 

@@ -36,7 +36,7 @@ unconditionally, which is all the downstream guarantees consume.
 
 The warm start's solver is SciPy's `linear_sum_assignment`, loaded once at
 import straight from its compiled kernel file (`_lsap*` in the
-`scipy.optimize` folder), which skips the import of all of
+`scipy.optimize` folder), which skips the import of `scipy` and of all of
 `scipy.optimize`. Without that file, or when it fails to load, it is the
 same function imported through `scipy.optimize`.
 """
@@ -73,12 +73,13 @@ _KERNEL = "scipy.optimize._lsap"
 def _kernel_path() -> str | None:
     """The file of SciPy's compiled assignment kernel, if there is one.
 
-    `find_spec` imports only the top-level `scipy` package to locate
-    the `scipy.optimize` folder; that package's `__init__` does not run."""
-    spec = importlib.util.find_spec("scipy.optimize")
+    The kernel sits in the `optimize` folder of the `scipy` package, and
+    `find_spec("scipy")` locates that package without running its
+    `__init__`: nothing of `scipy` is imported."""
+    spec = importlib.util.find_spec("scipy")
     for folder in (spec and spec.submodule_search_locations) or ():
         for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(folder, "_lsap" + suffix)
+            path = os.path.join(folder, "optimize", "_lsap" + suffix)
             if os.path.isfile(path):
                 return path
     return None

@@ -24,6 +24,7 @@ from fairalloc.files import (
     _event_to_dict,
     allocation_from_json,
     allocation_to_json,
+    format_rational,
     generate_instance,
     instance_from_json,
     instance_to_json,
@@ -123,6 +124,24 @@ class TestInstanceFiles:
         values = [v for row in instance.valuations for v in row]
         assert len({id(v) for v in values}) == 3
         assert instance.valuations is instance.valuations
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_written_as_json_dumps_writes_each_row(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(1, 12)
+        rows = [
+            [rng.choice([0, rng.randrange(101), rng.randrange(10**30)]) for _ in range(m)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        rows.append([Fraction(rng.randrange(10**30), rng.choice([1, 7, 10**20])) for _ in range(m)])
+        instance = Instance.from_rows(rows)
+        assert [type(row[0]) for row in instance.rows] == [int] * (len(rows) - 1) + [Fraction]
+        written = [json.dumps([format_rational(v) for v in row]) for row in instance.rows]
+        valuations = ",\n".join("    " + row for row in written)
+        expected = (
+            f'{{\n  "n": {len(rows)},\n  "m": {m},\n  "valuations": [\n{valuations}\n  ]\n}}\n'
+        )
+        assert instance_to_json(instance) == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_generated_files_are_written_back_byte_for_byte(self, seed):
@@ -253,6 +272,20 @@ class TestTraceFiles:
                 assert trace_to_lines(trace) == reference_lines(trace)
 
 
+def drawn_with_randrange(spec: GenSpec) -> tuple[tuple[int, ...], ...]:
+    """The rows of `spec` drawn value by value with `randrange(denominator) <
+    numerator` for a zero, else `randint(low, high)`: the generator's draws."""
+    rng = random.Random(spec.seed)
+    p = spec.zero_probability
+    return tuple(
+        tuple(
+            0 if rng.randrange(p.denominator) < p.numerator else rng.randint(spec.low, spec.high)
+            for _ in range(spec.items)
+        )
+        for _ in range(spec.agents)
+    )
+
+
 class TestGeneration:
     def test_same_seed_same_bytes(self):
         spec = GenSpec(3, 6, 0, 100, Fraction(1, 10), seed=42)
@@ -274,12 +307,40 @@ class TestGeneration:
         spec = GenSpec(40, 120, 0, 100, Fraction(1, 10), seed=16)
         values = [v for row in generate_instance(spec).valuations for v in row]
         assert len({id(v) for v in values}) <= 102
-        rng = random.Random(spec.seed)
-        expected = [
-            Fraction(0) if rng.randrange(10) < 1 else Fraction(rng.randint(0, 100))
-            for _ in range(40 * 120)
+        assert values == [v for row in drawn_with_randrange(spec) for v in row]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(6, 20, 0, 100, zero, seed)
+            for zero in map(Fraction, ("0", "1", "1/4", "1/10", "3/7"))
+            for seed in (0, 16)
         ]
-        assert values == expected
+        + [
+            GenSpec(3, 9, 5, 5, Fraction(1, 4), 1),
+            GenSpec(3, 9, 0, 0, Fraction(0), 2),
+            GenSpec(4, 12, 0, 2**31 - 1, Fraction(1, 10), 3),
+            GenSpec(4, 12, 0, 2**32, Fraction(3, 7), 4),
+            GenSpec(4, 12, 0, 10**30 - 1, Fraction(1, 10), 5),
+            GenSpec(4, 12, 10**9, 10**9 + 2**32, Fraction(0), 6),
+            GenSpec(4, 12, 17, 10**30, Fraction(1, 4), 2**64 - 1),
+        ],
+        ids=lambda s: f"{s.agents}x{s.items}-{s.low}..{s.high}-p{s.zero_probability}-s{s.seed}",
+    )
+    def test_values_are_the_randrange_and_randint_draws(self, spec):
+        instance = generate_instance(spec)
+        assert instance.rows == drawn_with_randrange(spec)
+        assert all(type(v) is int for row in instance.rows for v in row)
+
+    def test_draws_never_go_through_randrange(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("generation called randrange or randint")
+
+        spec = GenSpec(4, 12, 3, 90, Fraction(1, 10), seed=8)
+        expected = drawn_with_randrange(spec)
+        monkeypatch.setattr(random.Random, "randrange", refuse)
+        monkeypatch.setattr(random.Random, "randint", refuse)
+        assert generate_instance(spec).rows == expected
 
     def test_a_huge_range_builds_at_once(self):
         spec = GenSpec(2, 3, 0, 10**30, Fraction(1, 10), seed=7)

@@ -306,6 +306,7 @@ class TestAssignmentKernel:
             f" '--output', {str(tmp_path / 'out.json')!r}])\n"
             "assert code == 0, code\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out.json").exists()
