@@ -137,11 +137,9 @@ def _out_edges(row: Sequence[int], agent: int, floor: int) -> list[tuple[int, in
     ]
 
 
-def _relax_max_product(
-    n: int, values: Sequence[Sequence[int]]
-) -> tuple[EnvyRanks, list[int | None]]:
+def _relax_max_product(values: Sequence[Sequence[int]]) -> tuple[EnvyRanks, list[int | None]]:
     """Envy ranks plus the predecessor links of rank-attaining paths, on the
-    envy-ratio graph of the value matrix values[i][j] = v_i(B_j).
+    envy-ratio graph of the n x n value matrix values[i][j] = v_i(B_j).
 
     Max-product Bellman-Ford over integer (k, num, den) values from the
     all-ones baseline: at most n - 1 rounds, each over the agents in index
@@ -165,6 +163,7 @@ def _relax_max_product(
     therefore the strict-envy edges plus at most n - 1 edges per agent of
     rank above 1.
     """
+    n = len(values)
     ks, nums, dens = [0] * n, [1] * n, [1] * n
     preds: list[int | None] = [None] * n
     strong: list[list[tuple[int, int]] | None] = [None] * n  # weight > 1 only
@@ -247,7 +246,7 @@ def _predecessor_path(preds: list[int | None], agent: int) -> list[int]:
 def find_improving_cycle(graph: EnvyRatioGraph) -> Cycle | None:
     """Some directed cycle whose exact weight product exceeds 1, if any."""
     try:
-        _relax_max_product(graph.agent_count, graph.values)
+        _relax_max_product(graph.values)
     except ImprovingCycleExists as found:
         return found.cycle
     return None
@@ -258,7 +257,7 @@ def envy_ranks(graph: EnvyRatioGraph) -> EnvyRanks:
 
     Raises ImprovingCycleExists, naming a cycle, on a graph that has one.
     """
-    return _relax_max_product(graph.agent_count, graph.values)[0]
+    return _relax_max_product(graph.values)[0]
 
 
 def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
@@ -267,7 +266,7 @@ def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
     Returns [agent] alone when the empty path is maximal. Raises
     ImprovingCycleExists on graphs where ranks are undefined.
     """
-    preds = _relax_max_product(graph.agent_count, graph.values)[1]
+    preds = _relax_max_product(graph.values)[1]
     return _predecessor_path(preds, agent)
 
 

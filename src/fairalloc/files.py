@@ -274,11 +274,27 @@ def trace_to_lines(trace: Trace) -> str:
 
 
 def trace_from_lines(text: str) -> Trace:
-    return [
-        _event_from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """The events of a trace file, one JSON object per nonblank line.
+
+    A line that is not an event raises ValueError naming its 1-based
+    number: text that is not JSON, a JSON value that is not an object, an
+    unknown event kind, a missing field, or a field that does not convert
+    (a number where a list belongs, a bad rational, an item out of range).
+    """
+    trace = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {line.strip()}")
+            trace.append(_event_from_dict(doc))
+        except KeyError as missing:
+            raise ValueError(f"trace line {number}: missing field {missing}") from missing
+        except (TypeError, ValueError, InvalidAllocation, InvalidInstance) as error:
+            raise ValueError(f"trace line {number}: {error}") from error
+    return trace
 
 
 # --- Seeded generation -------------------------------------------------------

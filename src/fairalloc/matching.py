@@ -3,15 +3,15 @@
 The matching runs in two phases. A floating-point warm start solves
 maximum-weight bipartite matching on log values (zero values get a sentinel
 weight low enough that assignments are ranked first by how many agents end
-up with a positive value). The log table is read from the decision rows
-`Instance.scaled_rows`: a scaled value x of a row with scale s is
-(x/g) / (s/g) in lowest terms, g = gcd(x, s), and each distinct x per
-distinct s has its log math.log(x/g) - math.log(s/g) computed once (for
-s = 1 that is math.log(x), since math.log(1) is 0.0), so the floats are
-exactly those of a value-by-value table on the reduced p/q. An exact
-repair loop then fixes anything the floats got wrong. Every iteration
-is one certify-or-move step: a single max-product relaxation over the envy
-ratios either certifies the two properties every later step relies on,
+up with a positive value). The log table is read from the stored
+`Instance.rows`: one math.log(x) per distinct nonzero value x of the
+integer rows, and math.log(p) - math.log(q) for each value p/q of a
+`Fraction` row, which is stored reduced. Since math.log(1) is 0.0, the
+floats are exactly those of a value-by-value table on the reduced p/q.
+The floats only choose the start: an exact repair loop then fixes
+anything they got wrong. Every iteration is one certify-or-move step: a
+single max-product relaxation over the envy ratios either certifies the
+two properties every later step relies on,
 
   * the envy-ratio graph admits no improving cycle, and
   * rank_i * v_i(b) <= v_i(own bundle) for every agent i and remaining b,
@@ -63,7 +63,14 @@ from .envy import (
     rotate_bundles,
 )
 from .errors import ImprovingCycleExists, InstanceTooSmall, InvalidAllocation
-from .model import Allocation, Instance, bundle_value, check_allocation, is_infinite
+from .model import (
+    Allocation,
+    Instance,
+    _is_int_row,
+    bundle_value,
+    check_allocation,
+    is_infinite,
+)
 
 Objective = tuple[int, Fraction]
 
@@ -135,59 +142,40 @@ def lexicographic_objective(instance: Instance, allocation: Allocation) -> Objec
     return count, prod
 
 
-class _LogMemo(dict):
-    """For rows scaled by `scale`: the log of each distinct scaled value x,
-    math.log(p) - math.log(q) on x / scale = p / q in lowest terms, computed
-    on first use; NaN marks a zero value."""
-
-    def __init__(self, scale: int) -> None:
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, x: int) -> float:
-        if x:
-            g = math.gcd(x, self.scale)
-            log = math.log(x // g) - math.log(self.scale // g)
-        else:
-            log = math.nan
-        self[x] = log
-        return log
-
-
 def _log_weights(instance: Instance) -> np.ndarray:
     """The warm start's weights: log v = math.log(p) - math.log(q) for each
     value v = p/q, and a sentinel below every positive weight by more than n
-    times their spread for each zero value, so assignments rank first by how
-    many agents get a positive value.
+    times their spread for each zero value (-1.0 when every value is 0), so
+    assignments rank first by how many agents get a positive value.
 
-    The table is read from `Instance.scaled_rows` and `Instance.row_scales`,
-    through one int-keyed `_LogMemo` per distinct row scale. A scaled value
-    x with scale s is p/q = (x/g) / (s/g), g = gcd(x, s), exactly the
-    reduced `Fraction`, and its log takes the same two `math.log` calls and
-    subtraction as per value, so every float is bit-identical to the
-    per-value table. The scale-1 memo is filled up front with one
-    `math.log` per distinct nonzero value of its rows: math.log(x) -
-    math.log(1) is math.log(x) exactly. The spread is read from the
-    distinct logs, which have the same minimum and maximum.
+    The table is read from the stored `Instance.rows`. The integer rows
+    share one `math.log` per distinct nonzero value, which is math.log(p) -
+    math.log(1) exactly; a `Fraction` row takes math.log(p) - math.log(q)
+    value by value, and a stored `Fraction` is already reduced. So every
+    float is that of the per-value table on the reduced p/q.
     """
-    rows, scales = instance.scaled_rows, instance.row_scales
-    memos = {scale: _LogMemo(scale) for scale in set(scales)}
-    if 1 in memos:
-        whole = set().union(*(row for row, scale in zip(rows, scales) if scale == 1))
-        whole.discard(0)
-        memos[1].update(zip(whole, map(math.log, whole)))
-    cells = chain.from_iterable(
-        map(memos[scale].__getitem__, row) for row, scale in zip(rows, scales)
-    )
-    weights = np.fromiter(
-        cells, dtype=float, count=instance.agent_count * instance.item_count
-    ).reshape(instance.agent_count, instance.item_count)
-    finite = [
-        log for memo in memos.values() for log in memo.values() if not math.isnan(log)
-    ]
+    n, m = instance.agent_count, instance.item_count
+    rows = instance.rows
+    whole = set().union(*filter(_is_int_row, rows))
+    whole.discard(0)
+    logs = dict(zip(whole, map(math.log, whole)))
+    finite = list(logs.values())
+    logs[0] = math.nan
+    cells = []
+    for row in rows:
+        if _is_int_row(row):
+            cells.append(map(logs.__getitem__, row))
+        else:
+            row_logs = [
+                math.log(p) - math.log(v.denominator) if (p := v.numerator) else math.nan
+                for v in row
+            ]
+            finite += filter(math.isfinite, row_logs)
+            cells.append(row_logs)
+    weights = np.fromiter(chain.from_iterable(cells), dtype=float, count=n * m).reshape(n, m)
     if finite:
         lo, hi = min(finite), max(finite)
-        sentinel = lo - (instance.agent_count * (hi - lo) + 1.0)
+        sentinel = lo - (n * (hi - lo) + 1.0)
     else:
         sentinel = -1.0
     weights[np.isnan(weights)] = sentinel
@@ -255,7 +243,7 @@ def _certify_or_move(
     """The certified envy ranks, or the repair loop's next allocation, from
     the allocation's value matrix `values`."""
     try:
-        ranks, preds = _relax_max_product(instance.agent_count, values)
+        ranks, preds = _relax_max_product(values)
     except ImprovingCycleExists as found:
         return rotate_bundles(allocation, found.cycle)
     violation = _find_pool_violation(instance, allocation, values, ranks)

@@ -11,12 +11,12 @@ on first use, with one `Fraction` per distinct integer value.
 
 Decisions and checks read the valuations through two cached integer views
 of each `Instance`, one owned by each side. The solvers decide on
-`Instance.scaled_rows`, each row times its cached LCM of denominators
-(`Instance.row_scales`). The fairness checks read
-`Instance.check_values`, the same multiples scaled by their own code from
-the stored rows into an object array of Python ints, and neither side reads
-the other's view, so a wrong decision row cannot certify its own output.
-An integer row is its own scaled row, with scale 1, in both views.
+`Instance.scaled_rows`, each row times the LCM of its denominators. The
+fairness checks read `Instance.check_values`, the same multiples scaled by
+their own code from the stored rows into an object array of Python ints,
+and neither side reads the other's view, so a wrong decision row cannot
+certify its own output. An integer row is its own scaled row in both views.
+The matching's float warm start reads the stored rows themselves.
 `_worst_rivals` reduces each agent's row of that view to one worst ratio
 v_i(own) / D_ij, a pair of integers, with array reductions over all bundles
 at once; `fairness_factor` compares the n rows' ratios by cross-multiplying
@@ -198,35 +198,27 @@ class Instance:
         return tuple(table)
 
     @functools.cached_property
-    def row_scales(self) -> tuple[int, ...]:
-        """The LCM of each agent's denominators: the factor `scaled_rows`
-        multiplies that agent's row by; 1 for an integer row."""
-        return tuple(
-            1 if _is_int_row(row) else math.lcm(*(v.denominator for v in row))
-            for row in self.rows
-        )
-
-    @functools.cached_property
     def scaled_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each agent's row times its `row_scales` entry, as ints: an integer
-        row is the stored row itself. The solvers' decisions read these; one
-        positive factor per row changes none of them, since each compares
-        values of one agent only."""
-        return tuple(
-            row if _is_int_row(row)
-            else tuple(v.numerator * (scale // v.denominator) for v in row)
-            for row, scale in zip(self.rows, self.row_scales)
-        )
+        """Each agent's row times the LCM of that row's denominators, as
+        ints: an integer row is the stored row itself. The solvers'
+        decisions read these; one positive factor per row changes none of
+        them, since each compares values of one agent only."""
+        table = []
+        for row in self.rows:
+            if not _is_int_row(row):
+                scale = math.lcm(*(v.denominator for v in row))
+                row = tuple(v.numerator * (scale // v.denominator) for v in row)
+            table.append(row)
+        return tuple(table)
 
     @functools.cached_property
     def check_values(self) -> np.ndarray:
         """The fairness checks' own integer view: each agent's row times the
         LCM of that row's denominators, as an n x m NumPy array of Python
         ints (dtype object), exact at any size. It is built here from the
-        stored rows, apart from `row_scales` and `scaled_rows`: an integer
-        row is taken as it is, a `Fraction` row is scaled value by value. Only
-        the checks read it, so a wrong decision row cannot certify its own
-        output."""
+        stored rows, apart from `scaled_rows`: an integer row is taken as it
+        is, a `Fraction` row is scaled value by value. Only the checks read
+        it, so a wrong decision row cannot certify its own output."""
         table = []
         for row in self.rows:
             if not _is_int_row(row):

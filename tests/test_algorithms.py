@@ -854,9 +854,9 @@ def reference_check_outcome(instance, state):
 
 
 def random_refinement_states(rng, trials):
-    """(clean instance, instance with wrong `scaled_rows` and `row_scales`,
-    state) triples: p/q values, or 1s and 2s for exact ties, with zeros,
-    partial allocations and random rank groups."""
+    """(clean instance, instance with wrong `scaled_rows`, state) triples:
+    p/q values, or 1s and 2s for exact ties, with zeros, partial allocations
+    and random rank groups."""
     for trial in range(trials):
         n, m = rng.randint(2, 5), rng.randint(2, 10)
         top, denominator = (2, 1) if trial % 2 else (40, 9)
@@ -872,7 +872,6 @@ def random_refinement_states(rng, trials):
         poisoned.__dict__["scaled_rows"] = tuple(
             tuple(rng.randint(0, 50) for _ in range(m)) for _ in range(n)
         )
-        poisoned.__dict__["row_scales"] = tuple(2 * s + 1 for s in clean.row_scales)
         owners = [rng.randrange(-1, n) for _ in range(m)]
         alloc = Allocation.of([[g for g in range(m) if owners[g] == i] for i in range(n)], m)
         for mode, group_count in ((EFR, 3), (EFX, 2)):
@@ -917,9 +916,9 @@ class TestRefinementChecks:
         )
 
     def test_wrong_decision_rows_change_no_check(self):
-        """The checks scale their own integers from the `Fraction`s: with the
-        cached `scaled_rows` and `row_scales` overwritten by wrong ones, every
-        factor, witness and refinement verdict stays the same."""
+        """The checks scale their own integers from the stored rows: with the
+        cached `scaled_rows` overwritten by wrong ones, every factor, witness
+        and refinement verdict stays the same."""
         outcomes = set()
         for clean, poisoned, state in random_refinement_states(random.Random(909), 120):
             for notion in FairnessNotion:

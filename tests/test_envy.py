@@ -330,9 +330,9 @@ def reference_relaxation(graph):
     return tuple(INF if k else x for k, x in values), preds
 
 
-def kernel_outcome(n, values):
+def kernel_outcome(values):
     try:
-        ranks, preds = _relax_max_product(n, values)
+        ranks, preds = _relax_max_product(values)
     except ImprovingCycleExists as found:
         return "cycle", found.cycle
     return ranks.ranks, preds
@@ -404,8 +404,8 @@ class TestIntegerRelaxation:
             for allocation in (random_matching, nsw_matching(instance).allocation):
                 graph = build_envy_ratio_graph(instance, allocation)
                 expected = reference_relaxation(graph)
-                assert kernel_outcome(n, _value_matrix(instance, allocation)) == expected
-                assert kernel_outcome(n, graph.values) == expected
+                assert kernel_outcome(_value_matrix(instance, allocation)) == expected
+                assert kernel_outcome(graph.values) == expected
                 found_cycle = expected[0] == "cycle"
                 seen["cycle" if found_cycle else "ranks"] += 1
                 seen["infinite edge"] += any(
@@ -436,7 +436,7 @@ class TestIntegerRelaxation:
             allocation = nsw_matching(instance).allocation
             values = _value_matrix(instance, allocation)
             listed.clear()
-            ranks = _relax_max_product(40, values)[0]
+            ranks = _relax_max_product(values)[0]
             bound = len(strict_envy_edges(instance, allocation)) + 39 * sum(
                 rank != 1 for rank in ranks.ranks
             )

@@ -102,7 +102,6 @@ class TestInstanceFiles:
         assert instance.rows == ((3, 0, 2), (Fraction(1), Fraction(1, 2), Fraction(4)))
         assert [type(v) for row in instance.rows for v in row] == [int] * 3 + [Fraction] * 3
         assert instance.scaled_rows == ((3, 0, 2), (2, 1, 8))
-        assert instance.row_scales == (1, 2)
         assert instance.valuations == ((3, 0, 2), (1, Fraction(1, 2), 4))
         assert all(type(v) is Fraction for row in instance.valuations for v in row)
 
@@ -264,6 +263,23 @@ class TestTraceFiles:
         text = trace_to_lines(trace)
         assert text.encode() == reference_lines(trace).encode()
         assert trace_from_lines(text) == trace
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1]", "expected a JSON object, got [1]"),
+            ('"x"', 'expected a JSON object, got "x"'),
+            ('{"event": "pick"}', "missing field 'agent'"),
+            ('{"event": "rotate", "cycle": 5}', "'int' object is not iterable"),
+        ],
+        ids=["list", "string", "missing-field", "number-for-a-list"],
+    )
+    def test_a_malformed_line_names_its_number(self, line, message):
+        """Line 3, after a good line and a blank one."""
+        text = '{"event": "source-pick", "agent": 0, "item": 1}\n\n' + line + "\n"
+        with pytest.raises(ValueError) as raised:
+            trace_from_lines(text)
+        assert str(raised.value) == f"trace line 3: {message}"
 
     def test_solver_traces_match_json_dumps(self):
         for _, instance in random_instances(40, (2, 6), (2, 12), 0, 100, (Fraction(1, 10),), 5):

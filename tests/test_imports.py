@@ -146,7 +146,7 @@ def test_the_dead_name_guard_flags_only_unread_private_names():
     assert dead_private_names(sources) == ["a._dead"]
 
 
-# The exact checks scale their own rows from the `Fraction` valuations
+# The exact checks scale their own rows from the stored rows
 # (`Instance.check_values`); they must not read the solvers' cached decision
 # rows or row scales.
 CHECKERS = {

@@ -177,8 +177,9 @@ def per_value_log_weights(instance):
 
 
 class TestWarmStartWeights:
-    """`_log_weights` takes each distinct p/q once; every float must equal
-    the per-value table's, with `==`, or the warm start could change."""
+    """`_log_weights` takes one log per distinct integer value and one per
+    `Fraction` value; every float must equal the per-value table's, with
+    `==`, or the warm start could change."""
 
     def test_same_floats_as_the_per_value_table(self):
         rng = random.Random(4)
@@ -186,8 +187,11 @@ class TestWarmStartWeights:
             "repeated p/q": lambda: Fraction(rng.randint(1, 4), rng.randint(1, 3)),
             "wide p/q": lambda: Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4)),
             "(10^40+r)/7": lambda: Fraction(10**40 + rng.randint(0, 40), 7),
-            "integers": lambda: Fraction(rng.randint(1, 100)),
+            "integers as Fractions": lambda: Fraction(rng.randint(1, 100)),
+            "integers": lambda: rng.randint(1, 100),
+            "integers near 10^40": lambda: 10**40 + rng.randint(0, 40),
         }
+        positive_int_rows = 0
         for draw in families.values():
             for _ in range(40):
                 n, m = rng.randint(1, 8), rng.randint(1, 20)
@@ -198,9 +202,43 @@ class TestWarmStartWeights:
                         for _ in range(n)
                     ]
                 )
+                positive_int_rows += sum(
+                    type(row[0]) is int and any(row) for row in instance.rows
+                )
                 weights = _log_weights(instance)
                 assert weights.shape == (n, m)
                 assert weights.tolist() == per_value_log_weights(instance)
+        assert positive_int_rows > 300
+
+    def test_integer_rows_beside_fraction_rows(self):
+        """Rows of ints and rows of `Fraction`s in one instance, where a
+        `Fraction(k)` of one row and an int k of another take the same
+        float."""
+        rng = random.Random(5)
+        for _ in range(200):
+            n, m = rng.randint(2, 6), rng.randint(1, 12)
+            rows = []
+            for agent in range(n):
+                if agent % 2:
+                    rows.append([rng.randint(0, 12) for _ in range(m)])
+                else:
+                    rows.append([
+                        Fraction(rng.randint(0, 12), rng.choice([1, 1, 2, 3]))
+                        for _ in range(m)
+                    ])
+            instance = Instance.from_rows(rows)
+            weights = _log_weights(instance)
+            assert weights.tolist() == per_value_log_weights(instance)
+            whole = {}
+            for row, logs in zip(instance.rows, weights.tolist()):
+                for value, log in zip(row, logs):
+                    assert whole.setdefault(value, log) == log
+        instance = Instance.from_rows([[3, 0, 7], [Fraction(7), Fraction(3, 2), Fraction(3)]])
+        assert [type(row[0]) for row in instance.rows] == [int, Fraction]
+        weights = _log_weights(instance).tolist()
+        assert weights[0][0] == weights[1][2] == math.log(3)
+        assert weights[0][2] == weights[1][0] == math.log(7)
+        assert weights == per_value_log_weights(instance)
 
     def test_all_zero_instance_takes_the_fixed_sentinel(self):
         instance = Instance.from_rows([[0] * 4] * 3)

@@ -320,10 +320,8 @@ class TestScaledRows:
     def test_each_row_is_a_positive_integer_multiple(self, rows):
         instance = Instance.from_rows(rows)
         assert len(instance.scaled_rows) == instance.agent_count
-        for scaled, row, scale in zip(
-            instance.scaled_rows, instance.valuations, instance.row_scales
-        ):
-            assert scale == math.lcm(*(v.denominator for v in row))
+        for scaled, row in zip(instance.scaled_rows, instance.valuations):
+            scale = math.lcm(*(v.denominator for v in row))
             assert list(scaled) == [v * scale for v in row]
             assert all(type(x) is int and x >= 0 for x in scaled)
             assert [x == 0 for x in scaled] == [v == 0 for v in row]
