@@ -20,6 +20,10 @@ left. The two modes differ only in constants, held in one table, `MODES`:
 Every comparison against one of these constants, irrational or not, goes
 through `model.compare_scaled`, which decides it exactly in integers.
 
+Refinement and completion carry the bundles as item lists and the pool as
+a sorted list. An `Allocation`, validated by `Allocation.of`, is built only
+where one is read: by a check when checks are on, and as the result.
+
 Every run produces a trace: the recorded matching followed by each pick and
 rotation (replaying those reproduces the output allocation exactly) plus
 the outcomes of the mid-run invariant checks. The checks are switchable --
@@ -31,6 +35,7 @@ valid inputs always means an implementation defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .envy import (
     Cycle,
@@ -234,22 +239,29 @@ def _take(
     agent: int,
 ) -> tuple[int, bool]:
     """The pick step of refinement and completion: the agent takes its first
-    best item of the sorted `pool` and adds the item's entry of every row to
+    best item of the sorted `pool` (one `itemgetter` pass over the pool, then
+    the index of the first maximum) and adds the item's entry of every row to
     its column of `values`. The column only grows, so another agent can only
     gain bit `agent` and only the agent's own mask is recomputed: O(n).
     Returns the item and whether anyone now envies the agent."""
     rows = instance.scaled_rows
-    item = max(pool, key=rows[agent].__getitem__)  # first maximum: smallest index
-    pool.remove(item)
+    offers = itemgetter(*pool)(rows[agent]) if len(pool) > 1 else (rows[agent][pool[0]],)
+    item = pool.pop(offers.index(max(offers)))  # first maximum: smallest index
     bit = 1 << agent
     envied = False
-    for i, (row, value_row) in enumerate(zip(rows, values)):
-        value_row[agent] += row[item]
-        if value_row[agent] > value_row[i]:  # never for i == agent
+    for i, row, value_row in zip(range(len(rows)), rows, values):
+        value = value_row[agent] + row[item]
+        value_row[agent] = value
+        if value > value_row[i]:  # never for i == agent
             masks[i] |= bit
             envied = True
     masks[agent] = _envy_mask(values[agent], agent)
     return item, envied
+
+
+def _bundle_lists(allocation: Allocation) -> tuple[list[list[int]], list[int]]:
+    """The bundles as lists and the pool as a sorted list, for the picks."""
+    return [list(bundle) for bundle in allocation.bundles], sorted(allocation.remaining)
 
 
 def refine_step2(
@@ -264,30 +276,32 @@ def refine_step2(
     pool are skipped.
     """
     values = _value_matrix(instance, state.allocation)
+    bundles, pool = _bundle_lists(state.allocation)
     trace = [] if trace is None else trace
-    return _refine(instance, state, values, _envy_masks(values), trace)
+    _refine(instance, state.groups, state.order, bundles, pool, values, _envy_masks(values), trace)
+    return RefinementState(Allocation.of(bundles, instance.item_count), state.groups, state.order)
 
 
 def _refine(
     instance: Instance,
-    state: RefinementState,
+    groups: AgentGroups,
+    order: tuple[int, ...],
+    bundles: list[list[int]],
+    pool: list[int],
     values: list[list[int]],
     masks: list[int],
     trace: Trace,
-) -> RefinementState:
-    """`refine_step2` on the state's value matrix `values` and envy masks
-    `masks`, which every pick (`_take`) keeps up to date."""
-    allocation, groups, order = state.allocation, state.groups, state.order
-    pool = sorted(allocation.remaining)
+) -> None:
+    """`refine_step2` in place on `bundles` and `pool`, with the value matrix
+    `values` and envy masks `masks`, which every pick (`_take`) keeps up to date."""
     for label, group in MODES[groups.mode].passes:
         for agent in order:
             if not pool:
                 break  # pool exhausted: remaining picks are skipped
             if agent in groups.members[group]:
                 item, _ = _take(instance, values, masks, pool, agent)
-                allocation = allocation.with_item(agent, item)
+                bundles[agent].append(item)
                 trace.append(Pick(agent, item, label))
-    return RefinementState(allocation, groups, order)
 
 
 def envy_cycle_elimination(
@@ -319,33 +333,32 @@ def envy_cycle_elimination(
     anywhere else it would return None.
     """
     values = _value_matrix(instance, allocation)
+    bundles, pool = _bundle_lists(allocation)
     trace = [] if trace is None else trace
-    return _complete(instance, allocation, values, _envy_masks(values), trace, None)
+    _complete(instance, bundles, pool, values, _envy_masks(values), trace, None)
+    return Allocation.of(bundles, instance.item_count)
 
 
 def _complete(
     instance: Instance,
-    allocation: Allocation,
+    bundles: list[list[int]],
+    pool: list[int],
     values: list[list[int]],
     masks: list[int],
     trace: Trace,
     mode: FairnessNotion | None,
-) -> Allocation:
-    """`envy_cycle_elimination` from the allocation's value matrix `values`
-    and envy masks `masks`. With `mode` set, the mode's threshold factor is
-    re-verified by the exact checker on its own integer view of the instance
-    after every rotation and every pick, so a wrong matrix or mask update
-    cannot certify itself."""
-    pool = sorted(allocation.remaining)
-    if not pool:  # refinement often empties it
-        return allocation
+) -> None:
+    """`envy_cycle_elimination` in place on the bundle lists, the sorted
+    pool, the value matrix `values` and the envy masks `masks`. With `mode`
+    set, the mode's threshold factor is re-verified by the exact checker on
+    its own integer view of the instance after every rotation and every
+    pick, so a wrong matrix or mask update cannot certify itself."""
 
     def check_running(tag: str) -> None:
         if mode is None:
             return
-        passed = meets_threshold(
-            fairness_factor(instance, allocation, mode), MODES[mode].threshold
-        )
+        report = fairness_factor(instance, Allocation.of(bundles, instance.item_count), mode)
+        passed = meets_threshold(report, MODES[mode].threshold)
         trace.append(InvariantChecked("completion-factor", passed))
         if not passed:
             raise InternalGuaranteeViolated(f"completion-factor after {tag}")
@@ -353,9 +366,8 @@ def _complete(
     search = True  # the starting allocation may hold cycles
     while pool:
         while search and (cycle := _envy_cycle_in_masks(masks)) is not None:
-            allocation = rotate_bundles(allocation, cycle)
             successors = cycle[1:] + cycle[:1]
-            for row in values:
+            for row in [*values, bundles]:  # the bundles move as the columns do
                 for agent, value in zip(cycle, [row[j] for j in successors]):
                     row[agent] = value
             masks = _envy_masks(values)
@@ -367,10 +379,9 @@ def _complete(
         source = (~envied & (envied + 1)).bit_length() - 1  # lowest unset bit
         item, envied_now = _take(instance, values, masks, pool, source)
         search = envied_now and _on_cycle(masks, source)
-        allocation = allocation.with_item(source, item)
+        bundles[source].append(item)
         trace.append(SourcePick(source, item))
         check_running("pick")
-    return allocation
 
 
 # --- Mid-run invariant checks ------------------------------------------------
@@ -460,15 +471,14 @@ def _solve(
     masks = _envy_masks(values)
     order = topological_order(instance.agent_count, _mask_edges(masks))
 
-    state = _refine(
-        instance, RefinementState(result.allocation, groups, order), values, masks, trace
-    )
+    bundles, pool = _bundle_lists(result.allocation)
+    _refine(instance, groups, order, bundles, pool, values, masks, trace)
     if check:
+        state = RefinementState(Allocation.of(bundles, instance.item_count), groups, order)
         _check_refined(instance, state, trace)
 
-    allocation = _complete(
-        instance, state.allocation, values, masks, trace, mode if check else None
-    )
+    _complete(instance, bundles, pool, values, masks, trace, mode if check else None)
+    allocation = Allocation.of(bundles, instance.item_count)
 
     report = fairness_factor(instance, allocation, mode)
     if not meets_threshold(report, threshold):

@@ -10,7 +10,7 @@ compares values of one agent with each other, so the factor cancels.
 
 The one max-product relaxation behind improving cycles, envy ranks and
 rank-attaining paths reads the integer value matrix values[i][j] = v_i(B_j)
-directly: the matching passes the matrix it has just summed, the public
+directly: the matching passes the matrix of its current matching, the public
 graph queries the matrix an `EnvyRatioGraph` holds. A positive weight is
 inf**k * a/b with k = 0, a = other, b = own for a finite other/own, and
 k = 1, a = b = 1 for inf; each agent's value is a triple (k, num, den) of
@@ -22,8 +22,8 @@ it is never listed, and an agent still at the all-ones baseline lists only
 its edges of weight > 1, the only ones that can raise a rank from there: a
 pass costs the strict-envy edges plus the out-edges of the agents whose
 rank ends above 1, not all n(n-1) ratios. `_value_matrix` is the one place
-a matrix is summed from bundles; the solvers sum one per matching step and
-keep the last one up to date through refinement and completion.
+a matrix is summed from bundles; the solvers read one per matching step off
+the scaled rows at the matched items and keep the last one up to date.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
 iff values[i][j] > values[i][i] (`_envy_masks`). The solvers build the masks

@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .algorithms import (
     AgentGroups,
@@ -216,29 +216,46 @@ def _event_to_dict(event: TraceEvent) -> dict:
     raise TypeError(f"unknown trace event {event!r}")
 
 
+def _typed(doc: dict, name: str, kind: type) -> Any:
+    """An event's field, of type `kind` exactly, so that true is not an int."""
+    value = doc[name]
+    if type(value) is not kind:
+        raise ValueError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _ints(raw: object, name: str) -> tuple[int, ...]:
+    """An event's list of agents, every entry an int that is not a bool."""
+    values = tuple(raw)
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"field {name!r} must list integers, got {raw!r}")
+    return values
+
+
 def _event_from_dict(doc: dict) -> TraceEvent:
     kind = doc.get("event")
     if kind == "matching":
-        allocation = Allocation.of(doc["bundles"], doc["items"])
+        bundles = [_item_indices(b, "a 'bundles' entry") for b in doc["bundles"]]
+        allocation = Allocation.of(bundles, _typed(doc, "items", int))
         ranks = EnvyRanks(tuple(parse_extended(r) for r in doc["ranks"]))
         return MatchingDone(allocation, ranks)
     if kind == "groups":
         return GroupsAssigned(
             AgentGroups(
-                FairnessNotion(doc["mode"]),
-                frozenset(doc["g1"]),
-                frozenset(doc["g2"]),
-                frozenset(doc.get("g3", [])),
+                FairnessNotion(_typed(doc, "mode", str)),
+                frozenset(_ints(doc["g1"], "g1")),
+                frozenset(_ints(doc["g2"], "g2")),
+                frozenset(_ints(doc.get("g3", []), "g3")),
             )
         )
     if kind == "pick":
-        return Pick(doc["agent"], doc["item"], doc["pass"])
+        return Pick(_typed(doc, "agent", int), _typed(doc, "item", int), _typed(doc, "pass", str))
     if kind == "rotate":
-        return CycleRotated(tuple(doc["cycle"]))
+        return CycleRotated(_ints(doc["cycle"], "cycle"))
     if kind == "source-pick":
-        return SourcePick(doc["agent"], doc["item"])
+        return SourcePick(_typed(doc, "agent", int), _typed(doc, "item", int))
     if kind == "invariant":
-        return InvariantChecked(doc["name"], doc["passed"])
+        return InvariantChecked(_typed(doc, "name", str), _typed(doc, "passed", bool))
     raise ValueError(f"unknown trace event kind {kind!r}")
 
 
@@ -278,8 +295,9 @@ def trace_from_lines(text: str) -> Trace:
 
     A line that is not an event raises ValueError naming its 1-based
     number: text that is not JSON, a JSON value that is not an object, an
-    unknown event kind, a missing field, or a field that does not convert
-    (a number where a list belongs, a bad rational, an item out of range).
+    unknown event kind, a missing field, a field of the wrong JSON type (true
+    is not an int), or a field that does not convert (a number where a list
+    belongs, a bad rational, an item out of range).
     """
     trace = []
     for number, line in enumerate(text.splitlines(), 1):

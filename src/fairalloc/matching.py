@@ -21,10 +21,12 @@ matched items along the improving cycle it found, or, for the smallest
 (agent, pool item) breaking the second clause, a path move along the
 agent's maximum-product path that pulls the item in. `verify_nsw_certificate`
 is the same step run once on a given matching. The relaxation runs on
-integers only, straight on the integer value matrix on
-`Instance.scaled_rows`, so no `EnvyRatioGraph` is built, and it lists only
-the envy ratios that can raise a rank (`envy._relax_max_product`): on a
-matching with few envious agents it costs little more than their edges.
+integers only, straight on the integer value matrix, which each step reads
+off `Instance.scaled_rows` at the matched items (`_matching_matrix`; one
+item per agent, so nothing is summed). No `EnvyRatioGraph` is built, and
+the relaxation lists only the envy ratios that can raise a rank
+(`envy._relax_max_product`): on a matching with few envious agents it
+costs little more than their edges.
 The solvers keep the matrix of the certified matching (`_certified_matching`)
 and update it through the rest of the solve.
 
@@ -59,7 +61,6 @@ from .envy import (
     EnvyRanks,
     _predecessor_path,
     _relax_max_product,
-    _value_matrix,
     rotate_bundles,
 )
 from .errors import ImprovingCycleExists, InstanceTooSmall, InvalidAllocation
@@ -208,6 +209,13 @@ def _apply_path_move(
     return Allocation(tuple(new), allocation.item_count)
 
 
+def _matching_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]:
+    """values[i][j] = v_i(B_j) of a one-item-per-agent matching: each agent's
+    row of `Instance.scaled_rows` read at the matched items, with no sums."""
+    items = [item for bundle in allocation.bundles for item in bundle]
+    return [[row[item] for item in items] for row in instance.scaled_rows]
+
+
 def _find_pool_violation(
     instance: Instance, allocation: Allocation, values: list[list[int]], ranks: EnvyRanks
 ) -> tuple[int, int] | None:
@@ -271,7 +279,7 @@ def _certified_matching(
     allocation = _warm_start(instance)
     objective: Objective | None = None  # of `allocation`, once a move needs it
     while True:
-        values = _value_matrix(instance, allocation)
+        values = _matching_matrix(instance, allocation)
         step = _certify_or_move(instance, allocation, values)
         if isinstance(step, EnvyRanks):
             return NswMatchingResult(allocation, step), values
@@ -287,5 +295,5 @@ def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
     check_allocation(instance, allocation)
     if any(len(bundle) != 1 for bundle in allocation.bundles):
         raise InvalidAllocation("certificate verification needs one item per agent")
-    values = _value_matrix(instance, allocation)
+    values = _matching_matrix(instance, allocation)
     return isinstance(_certify_or_move(instance, allocation, values), EnvyRanks)

@@ -1,0 +1,69 @@
+"""Print one digest per solve over a fixed sweep, to diff two checkouts.
+
+Run by hand from the root of a checkout (pytest does not collect it, since
+its name does not start with `test_`):
+
+    PYTHONPATH=src python tests/digest_sweep.py > digests.txt
+
+then run the same command in the other checkout and `diff` the two files.
+An empty diff means both solve every instance of the sweep to the same
+bundles through the same picks, rotations and source picks.
+
+Each line is `family seed mode check digest`. The digest is a SHA-256
+prefix of the JSON of the sorted bundles plus the pick, rotate and
+source-pick events; a solve that raises prints the exception's type
+instead. The families are `GenSpec(n, 3n, 0, 100, 1/10, s)` for
+n = 10, 20, 40, 80 and 160 (seeds 0-3), and 1,000 instances of the
+acceptance batch's distribution drawn from stream seed 7.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from fractions import Fraction
+
+from fairalloc.algorithms import CycleRotated, Pick, SourcePick, solve_efr, solve_efx
+from fairalloc.files import GenSpec, generate_instance, random_instances
+
+SIZES = (10, 20, 40, 80, 160)
+SEEDS = range(4)
+SOLVERS = (("efr", solve_efr), ("efx", solve_efx))
+
+
+def solve_digest(allocation, trace) -> str:
+    events = []
+    for event in trace:
+        if isinstance(event, Pick):
+            events.append(["pick", event.agent, event.item, event.label])
+        elif isinstance(event, CycleRotated):
+            events.append(["rotate", list(event.cycle)])
+        elif isinstance(event, SourcePick):
+            events.append(["source-pick", event.agent, event.item])
+    payload = {"bundles": [sorted(b) for b in allocation.bundles], "events": events}
+    raw = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+def families():
+    for n in SIZES:
+        for s in SEEDS:
+            yield f"gen-{n}", s, generate_instance(GenSpec(n, 3 * n, 0, 100, Fraction(1, 10), s))
+    batch = random_instances(1000, (2, 6), (2, 12), 0, 100, (Fraction(0), Fraction(1, 10)), 7)
+    for k, (_, instance) in enumerate(batch):
+        yield "acceptance", k, instance
+
+
+def main() -> None:
+    for family, seed, instance in families():
+        for mode, solver in SOLVERS:
+            for check in (False, True):
+                try:
+                    digest = solve_digest(*solver(instance, check=check))
+                except Exception as error:  # a raised error is part of the outcome
+                    digest = type(error).__name__
+                print(family, seed, mode, "on" if check else "off", digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -358,43 +358,44 @@ class TestCompletionWork:
     def test_one_matrix_build_per_certify_step_and_none_after_the_matching(
         self, monkeypatch
     ):
-        """The value matrix is summed once per certify-or-move step of the
-        matching. The order step, refinement and completion read and update
-        that matrix, so no bundle is summed again after the matching."""
+        """The value matrix is read off the scaled rows once per
+        certify-or-move step of the matching. The order step, refinement
+        and completion read and update that matrix, so no bundle is summed
+        after the matching, and none before it either."""
         import fairalloc.algorithms as algorithms
         import fairalloc.envy as envy
         import fairalloc.matching as matching
 
         counts = {}
-        build, step, match = (
-            envy._value_matrix, matching._certify_or_move, matching._certified_matching
-        )
 
-        def counted_build(*args):
-            counts["matrix"] += 1
-            return build(*args)
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
 
-        def counted_step(*args):
-            counts["step"] += 1
-            return step(*args)
+            return wrapper
+
+        match = matching._certified_matching
 
         def counted_matching(*args):
             result = match(*args)
             counts["matrix at matching"] = counts["matrix"]
             return result
 
-        for module in (envy, matching, algorithms):
-            monkeypatch.setattr(module, "_value_matrix", counted_build)
-        monkeypatch.setattr(matching, "_certify_or_move", counted_step)
+        build, step = matching._matching_matrix, matching._certify_or_move
+        monkeypatch.setattr(matching, "_matching_matrix", counted("matrix", build))
+        monkeypatch.setattr(matching, "_certify_or_move", counted("step", step))
+        for module in (envy, algorithms):
+            monkeypatch.setattr(module, "_value_matrix", counted("sum", envy._value_matrix))
         monkeypatch.setattr(algorithms, "_certified_matching", counted_matching)
         instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
         for solver in (solve_efr, solve_efx):
-            counts.update({"matrix": 0, "step": 0, "matrix at matching": None})
+            counts.update({"matrix": 0, "step": 0, "sum": 0, "matrix at matching": None})
             _, trace = solver(instance, check=False)
             assert any(isinstance(e, (Pick, SourcePick)) for e in trace)
             assert counts["step"] >= 1
             assert counts == {
-                "matrix": counts["step"], "step": counts["step"],
+                "matrix": counts["step"], "step": counts["step"], "sum": 0,
                 "matrix at matching": counts["step"],
             }
 
@@ -501,24 +502,55 @@ class TestCompletionWork:
         for agents, rows in yielded:
             assert rows == sorted(set(rows)) and set(rows) <= set(range(agents))
 
+    def test_the_pick_steps_build_no_allocation(self, monkeypatch):
+        """Refinement and completion carry the bundles as lists, so no pick
+        calls `Allocation.with_item`. An `Allocation` is built only where
+        one is read: the warm start, each repair move, and with checks on
+        the refined allocation and one per running check, then the result."""
+        built = 0
+        post_init = Allocation.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        def refused(self, agent, item):
+            raise AssertionError("a pick built an Allocation with `with_item`")
+
+        monkeypatch.setattr(Allocation, "__post_init__", counted)
+        monkeypatch.setattr(Allocation, "with_item", refused)
+        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        for solver in (solve_efr, solve_efx):
+            for check in (False, True):
+                built = 0
+                allocation, trace = solver(instance, check=check)
+                assert allocation.is_complete
+                assert any(isinstance(e, Pick) for e in trace)
+                checks = sum(isinstance(e, InvariantChecked) for e in trace)
+                assert (checks > 0) == check
+                assert built <= checks + 3
+        assert any(isinstance(e, SourcePick) for e in trace)  # the checks-on EFX run
+
     def test_completion_starts_from_the_refined_allocations_matrix(self, monkeypatch):
-        """The matrix and the envy masks threaded from the matching through
-        refinement equal the ones built afresh from the refined allocation,
-        and the order step's order is the one read from the matching's
-        strict-envy edges, on random p/q instances with zeros, ties and a
-        pool left over."""
+        """The matrix, the envy masks and the pool threaded from the matching
+        through refinement equal the ones built afresh from the refined
+        bundles, and the order step's order is the one read from the
+        matching's strict-envy edges, on random p/q instances with zeros,
+        ties and a pool left over."""
         import fairalloc.algorithms as algorithms
 
         starts, orders = [], []
         refine, complete = algorithms._refine, algorithms._complete
 
-        def recorded_refine(instance, state, *rest):
-            orders.append((instance, state))
-            return refine(instance, state, *rest)
+        def recorded_refine(instance, groups, order, bundles, *rest):
+            orders.append((instance, Allocation.of(bundles, instance.item_count), order))
+            return refine(instance, groups, order, bundles, *rest)
 
-        def recorded(instance, allocation, values, masks, *rest):
-            starts.append((instance, allocation, [row[:] for row in values], masks[:]))
-            return complete(instance, allocation, values, masks, *rest)
+        def recorded(instance, bundles, pool, values, masks, *rest):
+            allocation = Allocation.of(bundles, instance.item_count)
+            starts.append((instance, allocation, pool[:], [row[:] for row in values], masks[:]))
+            return complete(instance, bundles, pool, values, masks, *rest)
 
         monkeypatch.setattr(algorithms, "_refine", recorded_refine)
         monkeypatch.setattr(algorithms, "_complete", recorded)
@@ -541,16 +573,17 @@ class TestCompletionWork:
                 solver(instance, check=trial % 2 == 0)
         assert len(starts) == len(orders) == 200
         with_pool = 0
-        for instance, allocation, values, masks in starts:
+        for instance, allocation, pool, values, masks in starts:
             fresh = _value_matrix(instance, allocation)
             assert values == fresh
             assert masks == [_envy_mask(row, i) for i, row in enumerate(fresh)]
-            with_pool += bool(allocation.remaining)
+            assert pool == sorted(allocation.remaining)
+            with_pool += bool(pool)
         assert with_pool > 100
         with_edges = 0
-        for instance, state in orders:
-            edges = strict_envy_edges(instance, state.allocation)
-            assert state.order == topological_order(instance.agent_count, edges)
+        for instance, matched, order in orders:
+            edges = strict_envy_edges(instance, matched)
+            assert order == topological_order(instance.agent_count, edges)
             with_edges += bool(edges)
         assert with_edges > 0
 

@@ -281,6 +281,63 @@ class TestTraceFiles:
             trace_from_lines(text)
         assert str(raised.value) == f"trace line 3: {message}"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"event": "rotate", "cycle": "ab"}, "field 'cycle' must list integers, got 'ab'"),
+            (
+                {"event": "pick", "agent": "x", "item": [2], "pass": 7},
+                "field 'agent' must be int, got 'x'",
+            ),
+            (
+                {"event": "pick", "agent": 0, "item": [2], "pass": "g2"},
+                "field 'item' must be int, got [2]",
+            ),
+            (
+                {"event": "pick", "agent": 0, "item": 2, "pass": 7},
+                "field 'pass' must be str, got 7",
+            ),
+            ({"event": "invariant", "name": 3, "passed": "no"}, "field 'name' must be str, got 3"),
+            (
+                {"event": "invariant", "name": "x", "passed": "no"},
+                "field 'passed' must be bool, got 'no'",
+            ),
+            (
+                {"event": "source-pick", "agent": True, "item": 1},
+                "field 'agent' must be int, got True",
+            ),
+            (
+                {"event": "rotate", "cycle": [0, True]},
+                "field 'cycle' must list integers, got [0, True]",
+            ),
+            (
+                {"event": "groups", "mode": 1, "g1": [], "g2": []},
+                "field 'mode' must be str, got 1",
+            ),
+            (
+                {"event": "matching", "items": 2, "bundles": [[0], [False]], "ranks": ["1", "1"]},
+                "a 'bundles' entry must be a list of integer item indices: [False]",
+            ),
+            (
+                {"event": "matching", "items": 2.0, "bundles": [[0], [1]], "ranks": ["1", "1"]},
+                "field 'items' must be int, got 2.0",
+            ),
+        ],
+        ids=[
+            "string-cycle", "string-agent", "list-item", "number-pass", "number-name",
+            "string-passed", "true-agent", "true-in-cycle", "number-mode", "false-in-bundle",
+            "float-items",
+        ],
+    )
+    def test_a_field_of_the_wrong_json_type_names_the_field(self, doc, message):
+        """Fields are checked for their JSON type, not only for their
+        presence: true is not an integer and 7 is not a string. Line 3,
+        after a good line and a blank one."""
+        text = '{"event": "source-pick", "agent": 0, "item": 1}\n\n' + json.dumps(doc) + "\n"
+        with pytest.raises(ValueError) as raised:
+            trace_from_lines(text)
+        assert str(raised.value) == f"trace line 3: {message}"
+
     def test_solver_traces_match_json_dumps(self):
         for _, instance in random_instances(40, (2, 6), (2, 12), 0, 100, (Fraction(1, 10),), 5):
             for solve in (solve_efr, solve_efx):

@@ -448,6 +448,44 @@ class TestPoolViolation:
         assert _find_pool_violation(instance, allocation, values, ranks) == expected
 
 
+class TestMatchingMatrix:
+    def test_each_certify_step_reads_the_summed_matrix(self, monkeypatch):
+        """Every certify-or-move step's matrix, read off the scaled rows at
+        the matched items, equals the one `_value_matrix` sums, on random
+        starts that make the repair loop move, with p/q rows, zeros and
+        values far above 2**63."""
+        rng = random.Random(2719)
+        steps = 0
+        build = matching._matching_matrix
+
+        def compared(instance, allocation):
+            nonlocal steps
+            steps += 1
+            values = build(instance, allocation)
+            assert values == _value_matrix(instance, allocation)
+            return values
+
+        monkeypatch.setattr(matching, "_matching_matrix", compared)
+        for k in range(150):
+            n = rng.randint(1, 5)
+            m = rng.randint(n, 8)
+            scale = 10**40 if k % 2 else 1
+            rows = [
+                [
+                    0 if rng.random() < 0.3
+                    else Fraction(rng.randint(1, 20) * scale, rng.randint(1, 3))
+                    for _ in range(m)
+                ]
+                for _ in range(n)
+            ]
+            instance = Instance.from_rows(rows)
+            start = Allocation.of([[item] for item in rng.sample(range(m), n)], m)
+            monkeypatch.setattr(matching, "_warm_start", lambda _instance: start)
+            result = nsw_matching(instance)
+            assert verify_nsw_certificate(instance, result.allocation)
+        assert steps > 2 * 150  # the verifications, and repair moves
+
+
 class TestMatchingProperties:
     """Seeded sweeps over the small-instance space (the acceptance suite runs
     the full 200-instance equivalence; this is the fast development slice)."""
