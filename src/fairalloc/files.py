@@ -5,16 +5,17 @@ event per line. Rationals are persisted as integers or "p/q" strings so
 round trips are exact -- no floating point ever reaches a file.
 Items and agents are 0-indexed everywhere.
 
-An instance row of JSON integers only is kept as a tuple of ints (see
-`model.Instance`); any other row is parsed value by value into `Fraction`s.
-Seeded generation draws integers, so its rows are integer rows. It calls
+An instance row of JSON integers only is kept as it is, with scale 1 (see
+`model.Instance`); any other row is parsed value by value into `Fraction`s
+and stored as ints over the LCM of their denominators. Seeded generation
+draws integers, so its rows have scale 1. It calls
 `random.Random.getrandbits` directly with CPython's own rule for a draw
 below n (`_randbelow_with_getrandbits`: k = n.bit_length() bits, drawn
 again while the result is >= n), which is what `randrange(n)` runs and
 `randint(a, b)` runs as `a + randrange(b - a + 1)`; every seed therefore
-gives the instance those calls give. An all-int instance row and the four
-per-step trace events are written as formatted lines, the same bytes as
-`json.dumps` gives.
+gives the instance those calls give. An instance row of scale 1 and the
+four per-step trace events are written as formatted lines, the same bytes
+as `json.dumps` gives.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from .model import (
     ExtendedRational,
     FairnessNotion,
     Instance,
-    _is_int_row,
-    _stored_rows,
+    _rows_and_scales,
     is_infinite,
 )
 
@@ -93,8 +93,8 @@ def _int_list(values: Iterable[int]) -> str:
 
 def instance_to_json(instance: Instance, generator: "GenSpec | None" = None) -> str:
     rows = [
-        _int_list(row) if _is_int_row(row) else json.dumps([format_rational(v) for v in row])
-        for row in instance.rows
+        _int_list(row) if s == 1 else json.dumps([format_rational(Fraction(x, s)) for x in row])
+        for row, s in zip(instance.rows, instance.scales)
     ]
     lines = [
         "{",
@@ -127,7 +127,7 @@ def instance_from_json(text: str) -> Instance:
     rows = doc["valuations"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInstance("'valuations' must be a list of rows")
-    instance = Instance(_stored_rows(rows, parse_rational))
+    instance = Instance(*_rows_and_scales(rows, parse_rational))
     n, m = doc.get("n"), doc.get("m")
     for field, declared in (("n", n), ("m", m)):
         if declared is not None and type(declared) is not int:
@@ -351,7 +351,7 @@ def generate_instance(spec: GenSpec) -> Instance:
     so the values are those of `randrange(denominator) < numerator` and
     `randint(low, high)`, for every n >= 1 and every width.
 
-    Every row is an integer row (see `model.Instance`)."""
+    Every row has scale 1 (see `model.Instance`)."""
     getrandbits = random.Random(spec.seed).getrandbits
     numerator = spec.zero_probability.numerator
     denominator = spec.zero_probability.denominator
@@ -372,7 +372,7 @@ def generate_instance(spec: GenSpec) -> Instance:
                 r = getrandbits(value_bits)
             row.append(low + r)
         rows.append(tuple(row))
-    return Instance(tuple(rows))
+    return Instance(tuple(rows), (1,) * spec.agents)
 
 
 def random_instances(

@@ -4,10 +4,10 @@ The matching runs in two phases. A floating-point warm start solves
 maximum-weight bipartite matching on log values (zero values get a sentinel
 weight low enough that assignments are ranked first by how many agents end
 up with a positive value). The log table is read from the stored
-`Instance.rows`: one math.log(x) per distinct nonzero value x of the
-integer rows, and math.log(p) - math.log(q) for each value p/q of a
-`Fraction` row, which is stored reduced. Since math.log(1) is 0.0, the
-floats are exactly those of a value-by-value table on the reduced p/q.
+`Instance.rows` and `Instance.scales`: one table per distinct scale s, with
+one math.log(p) - math.log(q) per distinct nonzero value x, where p/q is
+x/s in lowest terms. Since math.log(1) is 0.0, the floats are exactly those
+of a value-by-value table on the reduced p/q.
 The floats only choose the start: an exact repair loop then fixes
 anything they got wrong. Every iteration is one certify-or-move step: a
 single max-product relaxation over the envy ratios either certifies the
@@ -53,7 +53,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .errors import ImprovingCycleExists, InstanceTooSmall, InvalidAllocation
 from .model import (
     Allocation,
     Instance,
-    _is_int_row,
     bundle_value,
     check_allocation,
     is_infinite,
@@ -145,34 +144,31 @@ def lexicographic_objective(instance: Instance, allocation: Allocation) -> Objec
 
 def _log_weights(instance: Instance) -> np.ndarray:
     """The warm start's weights: log v = math.log(p) - math.log(q) for each
-    value v = p/q, and a sentinel below every positive weight by more than n
-    times their spread for each zero value (-1.0 when every value is 0), so
-    assignments rank first by how many agents get a positive value.
+    value v = p/q in lowest terms, and a sentinel below every positive
+    weight by more than n times their spread for each zero value (-1.0 when
+    every value is 0), so assignments rank first by how many agents get a
+    positive value.
 
-    The table is read from the stored `Instance.rows`. The integer rows
-    share one `math.log` per distinct nonzero value, which is math.log(p) -
-    math.log(1) exactly; a `Fraction` row takes math.log(p) - math.log(q)
-    value by value, and a stored `Fraction` is already reduced. So every
-    float is that of the per-value table on the reduced p/q.
+    The table is read from the stored `Instance.rows` and `Instance.scales`:
+    one log table per distinct scale s, with one entry per distinct nonzero
+    value x of its rows, math.log(x // g) - math.log(s // g) for g = gcd(x, s),
+    which is x / s in lowest terms. For s = 1 that is math.log(x) - 0.0.
     """
     n, m = instance.agent_count, instance.item_count
-    rows = instance.rows
-    whole = set().union(*filter(_is_int_row, rows))
-    whole.discard(0)
-    logs = dict(zip(whole, map(math.log, whole)))
-    finite = list(logs.values())
-    logs[0] = math.nan
-    cells = []
-    for row in rows:
-        if _is_int_row(row):
-            cells.append(map(logs.__getitem__, row))
+    rows, scales = instance.rows, instance.scales
+    tables: dict[int, dict[int, float]] = {}
+    finite: list[float] = []
+    for s in set(scales):
+        whole = set().union(*compress(rows, map(s.__eq__, scales)))
+        whole.discard(0)
+        if s == 1:  # the same floats, less math.log(1) and the gcds
+            logs = dict(zip(whole, map(math.log, whole)))
         else:
-            row_logs = [
-                math.log(p) - math.log(v.denominator) if (p := v.numerator) else math.nan
-                for v in row
-            ]
-            finite += filter(math.isfinite, row_logs)
-            cells.append(row_logs)
+            logs = {x: math.log(x // (g := math.gcd(x, s))) - math.log(s // g) for x in whole}
+        finite += logs.values()
+        logs[0] = math.nan
+        tables[s] = logs
+    cells = (map(tables[s].__getitem__, row) for row, s in zip(rows, scales))
     weights = np.fromiter(chain.from_iterable(cells), dtype=float, count=n * m).reshape(n, m)
     if finite:
         lo, hi = min(finite), max(finite)

@@ -4,19 +4,18 @@ All arithmetic is exact. Valuations are non-negative rationals; the only
 non-rational value that ever appears is `math.inf`, used for unbounded
 fairness factors and infinite envy ratios.
 
-An `Instance` stores each agent's row as given: a tuple of Python ints when
-every value of the row is an int, else a tuple of `fractions.Fraction`s.
-`Instance.valuations`, the public `Fraction` table, is built from the rows
-on first use, with one `Fraction` per distinct integer value.
+An `Instance` stores one form of row: each agent's values as a tuple of
+Python ints plus one positive int scale per row, value = x / scale, with
+the scale the LCM of the row's reduced denominators (1 for an integer
+row). `Instance.valuations`, the public `Fraction` table, is built from the
+rows on first use, with one `Fraction` per distinct (value, scale) pair.
 
-Decisions and checks read the valuations through two cached integer views
-of each `Instance`, one owned by each side. The solvers decide on
-`Instance.scaled_rows`, each row times the LCM of its denominators. The
-fairness checks read `Instance.check_values`, the same multiples scaled by
-their own code from the stored rows into an object array of Python ints,
-and neither side reads the other's view, so a wrong decision row cannot
-certify its own output. An integer row is its own scaled row in both views.
-The matching's float warm start reads the stored rows themselves.
+Decisions and checks read the stored ints through two cached views of each
+`Instance`, one owned by each side. The solvers decide on
+`Instance.scaled_rows`; the fairness checks read `Instance.check_values`,
+the same ints as an object array of Python ints. Neither side reads the
+other's view, so a wrong decision row cannot certify its own output. The
+matching's float warm start reads the stored rows and scales themselves.
 `_worst_rivals` reduces each agent's row of that view to one worst ratio
 v_i(own) / D_ij, a pair of integers, with array reductions over all bundles
 at once; `fairness_factor` compares the n rows' ratios by cross-multiplying
@@ -115,64 +114,66 @@ GOLDEN_RATIO_MINUS_ONE = Threshold.GOLDEN_RATIO_MINUS_ONE
 _INT_ONLY = {int}
 
 
-def _all_ints(row: tuple) -> bool:
-    """Whether every value is an int: `type(v) is int`, so not a bool."""
-    return {*map(type, row)} == _INT_ONLY
-
-
-def _stored_rows(
+def _rows_and_scales(
     rows: Iterable[Iterable[object]], convert: Callable[[object], Fraction]
-) -> tuple[tuple[int, ...] | tuple[Fraction, ...], ...]:
-    """Rows as an `Instance` stores them: a row of ints only stays as it
-    is, any other row becomes `convert` of each value. Every row is
-    converted before any is validated."""
-    return tuple(
-        row if _all_ints(row) else tuple(map(convert, row)) for row in map(tuple, rows)
-    )
-
-
-def _is_int_row(row: tuple[int, ...] | tuple[Fraction, ...]) -> bool:
-    """Whether a stored `Instance` row is an integer row; a stored row holds
-    ints only or `Fraction`s only, so its first value decides."""
-    return type(row[0]) is int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Input rows as an `Instance` stores them: (rows, scales), each row a
+    tuple of ints x with value x / scale. A row of ints only (`type(v) is
+    int`, so not a bool) is kept with scale 1 and builds no `Fraction`; any
+    other row becomes `convert` of each value, times the LCM of the
+    reduced denominators. Every row is converted before any is validated."""
+    stored, scales = [], []
+    for row in map(tuple, rows):
+        if {*map(type, row)} == _INT_ONLY:
+            scale = 1
+        else:
+            pairs = [convert(v).as_integer_ratio() for v in row]
+            scale = math.lcm(*(q for _, q in pairs))
+            row = tuple(p * (scale // q) for p, q in pairs)
+        stored.append(row)
+        scales.append(scale)
+    return tuple(stored), tuple(scales)
 
 
 @dataclass(frozen=True)
 class Instance:
     """Additive valuations: one row per agent, one column per item.
 
-    `rows` holds each agent's values as given: a tuple of ints when every
-    value is an int (`type(v) is int`, so not a bool), else a tuple of
-    `Fraction`s. Equality and hashing compare values, so an integer row
-    equals the same row of `Fraction`s. `valuations` is the `Fraction`
-    table, built on first use.
+    Agent i values item j at rows[i][j] / scales[i]: each row is a tuple of
+    ints and its scale a positive int, the LCM of the row's reduced
+    denominators (so an integer row has scale 1). The form is canonical, so
+    equal valuations give equal, equally hashed instances. `valuations` is
+    the `Fraction` table, built on first use.
     """
 
-    rows: tuple[tuple[int, ...] | tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.rows or not self.rows[0]:
+        rows, scales = self.rows, self.scales
+        if not rows or not rows[0]:
             raise InvalidInstance("need at least one agent and one item")
-        width = len(self.rows[0])
-        for row in self.rows:
+        if len(scales) != len(rows):
+            raise InvalidInstance(f"{len(scales)} scales for {len(rows)} rows")
+        width = len(rows[0])
+        for row, scale in zip(rows, scales):
             if len(row) != width:
                 raise InvalidInstance("valuation rows have unequal lengths")
-            if _all_ints(row):
-                if min(row) < 0:
-                    first = next(v for v in row if v < 0)
-                    raise InvalidInstance(f"negative valuation {first}")
-                continue
-            for v in row:
-                if not isinstance(v, Fraction):
-                    raise InvalidInstance(f"valuation {v!r} is not a Fraction")
-                if v.numerator < 0:  # a Fraction's denominator is positive
-                    raise InvalidInstance(f"negative valuation {v}")
+            if {*map(type, row)} != _INT_ONLY:
+                first = next(v for v in row if type(v) is not int)
+                raise InvalidInstance(f"valuation {first!r} is not an int")
+            if type(scale) is not int or scale < 1:
+                raise InvalidInstance(f"scale {scale!r} is not a positive int")
+            if min(row) < 0:
+                first = next(v for v in row if v < 0)
+                raise InvalidInstance(f"negative valuation {Fraction(first, scale)}")
+            if scale != 1 and math.gcd(scale, *row) != 1:
+                raise InvalidInstance(f"scale {scale} is not the LCM of the denominators")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
-        """An instance from rows of ints, "p/q" strings or `Fraction`s: a row
-        of ints only is kept as ints, any other row becomes `Fraction`s."""
-        return cls(_stored_rows(rows, Fraction))
+        """An instance from rows of ints, "p/q" strings or `Fraction`s."""
+        return cls(*_rows_and_scales(rows, Fraction))
 
     @property
     def agent_count(self) -> int:
@@ -184,51 +185,32 @@ class Instance:
 
     @functools.cached_property
     def valuations(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Every value as a `Fraction`, built on first use and cached. A
-        `Fraction` row is the stored row; an integer row takes one shared
-        `Fraction` per distinct value of the instance."""
-        shared: dict[int, Fraction] = {}
+        """Every value as a `Fraction`, built on first use and cached, with
+        one shared `Fraction` per distinct (value, scale) pair."""
+        shared: dict[int, dict[int, Fraction]] = {}
         table = []
-        for row in self.rows:
-            if _is_int_row(row):
-                for v in set(row).difference(shared):
-                    shared[v] = Fraction(v)
-                row = tuple(map(shared.__getitem__, row))
-            table.append(row)
+        for row, scale in zip(self.rows, self.scales):
+            fractions = shared.setdefault(scale, {})
+            for x in set(row).difference(fractions):
+                fractions[x] = Fraction(x, scale)
+            table.append(tuple(map(fractions.__getitem__, row)))
         return tuple(table)
 
     @functools.cached_property
     def scaled_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each agent's row times the LCM of that row's denominators, as
-        ints: an integer row is the stored row itself. The solvers'
-        decisions read these; one positive factor per row changes none of
-        them, since each compares values of one agent only."""
-        table = []
-        for row in self.rows:
-            if not _is_int_row(row):
-                scale = math.lcm(*(v.denominator for v in row))
-                row = tuple(v.numerator * (scale // v.denominator) for v in row)
-            table.append(row)
-        return tuple(table)
+        """The solvers' decision rows: the stored `rows`, each agent's values
+        times its scale. One positive factor per row changes no decision,
+        since each compares values of one agent only. A cache of its own,
+        so that a test can put wrong rows in it and see the checks hold."""
+        return self.rows
 
     @functools.cached_property
     def check_values(self) -> np.ndarray:
-        """The fairness checks' own integer view: each agent's row times the
-        LCM of that row's denominators, as an n x m NumPy array of Python
-        ints (dtype object), exact at any size. It is built here from the
-        stored rows, apart from `scaled_rows`: an integer row is taken as it
-        is, a `Fraction` row is scaled value by value. Only the checks read
-        it, so a wrong decision row cannot certify its own output."""
-        table = []
-        for row in self.rows:
-            if not _is_int_row(row):
-                nums, dens = zip(*map(Fraction.as_integer_ratio, row))
-                scale = math.lcm(*dens)
-                if scale != 1:
-                    nums = [num * (scale // den) for num, den in zip(nums, dens)]
-                row = nums
-            table.append(row)
-        return np.array(table, dtype=object)
+        """The fairness checks' own view of the stored `rows`: an n x m
+        NumPy array of Python ints (dtype object), exact at any size. Only
+        the checks read it, and it is built apart from `scaled_rows`, so a
+        wrong decision row cannot certify its own output."""
+        return np.array(self.rows, dtype=object)
 
     def value(self, agent: int, item: int) -> Fraction:
         if not 0 <= agent < self.agent_count:

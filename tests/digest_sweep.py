@@ -13,22 +13,41 @@ Each line is `family seed mode check digest`. The digest is a SHA-256
 prefix of the JSON of the sorted bundles plus the pick, rotate and
 source-pick events; a solve that raises prints the exception's type
 instead. The families are `GenSpec(n, 3n, 0, 100, 1/10, s)` for
-n = 10, 20, 40, 80 and 160 (seeds 0-3), and 1,000 instances of the
-acceptance batch's distribution drawn from stream seed 7.
+n = 10, 20, 40, 80 and 160 (seeds 0-3), 1,000 instances of the
+acceptance batch's distribution drawn from stream seed 7, and two rational
+families with m = 3n and seeds 0-3: p/q values (q <= 12, a tenth of them 0,
+the rule of the benchmark's verify-rational workload) at n = 10 and 40, and
+(x*10^40 + r)/7 values (x in 1-3, r in 0-50, 15% zeros) at n = 5 and 10.
+The second family stays small: when the values are near-ties, the exact
+repair loop takes seconds per matching from n = 14 on.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 from fairalloc.algorithms import CycleRotated, Pick, SourcePick, solve_efr, solve_efx
 from fairalloc.files import GenSpec, generate_instance, random_instances
+from fairalloc.model import Instance
 
 SIZES = (10, 20, 40, 80, 160)
 SEEDS = range(4)
 SOLVERS = (("efr", solve_efr), ("efx", solve_efx))
+RATIONAL_SIZES = {"pq": (10, 40), "big-sevenths": (5, 10)}
+
+
+def rational_value(family: str, rng: random.Random) -> Fraction:
+    if family == "pq":
+        if rng.randrange(10) == 0:
+            return Fraction(0)
+        q = rng.randint(1, 12)
+        return Fraction(rng.randint(0, 100 * q), q)
+    if rng.random() < 0.15:
+        return Fraction(0)
+    return Fraction(rng.randint(1, 3) * 10**40 + rng.randint(0, 50), 7)
 
 
 def solve_digest(allocation, trace) -> str:
@@ -52,6 +71,12 @@ def families():
     batch = random_instances(1000, (2, 6), (2, 12), 0, 100, (Fraction(0), Fraction(1, 10)), 7)
     for k, (_, instance) in enumerate(batch):
         yield "acceptance", k, instance
+    for family, sizes in RATIONAL_SIZES.items():
+        for n in sizes:
+            for s in SEEDS:
+                rng = random.Random(f"{family}/{n}/{s}")
+                rows = [[rational_value(family, rng) for _ in range(3 * n)] for _ in range(n)]
+                yield f"{family}-{n}", s, Instance.from_rows(rows)
 
 
 def main() -> None:

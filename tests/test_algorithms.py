@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -310,15 +311,15 @@ class TestCompletionAgainstReference:
     @given(completion_starts(), factors)
     def test_scaling_all_valuations_changes_nothing(self, case, c):
         instance, start = case
-        scaled = Instance(tuple(tuple(v * c for v in row) for row in instance.valuations))
+        scaled = Instance.from_rows([[v * c for v in row] for row in instance.valuations])
         assert completed(scaled, start) == completed(instance, start)
 
     @settings(max_examples=60, deadline=None)
     @given(completion_starts(), st.lists(factors, min_size=6, max_size=6))
     def test_scaling_each_agent_changes_nothing(self, case, cs):
         instance, start = case
-        scaled = Instance(
-            tuple(tuple(v * c for v in row) for row, c in zip(instance.valuations, cs))
+        scaled = Instance.from_rows(
+            [[v * c for v in row] for row, c in zip(instance.valuations, cs)]
         )
         assert completed(scaled, start) == completed(instance, start)
 
@@ -400,14 +401,13 @@ class TestCompletionWork:
             }
 
     def test_the_checks_scale_each_value_once_per_instance(self, monkeypatch):
-        """A checks-on solve runs the exact checker n + 2 times and the
-        caller's `fairness_factor` once more; all of them read one integer
-        view, scaled once, so at most one `as_integer_ratio` call reaches
-        each of the n*m values of a `Fraction` instance (here every value
-        over 7), and none of an integer instance, whose rows are their own
-        view."""
+        """Each value is scaled once, when the instance is built. A checks-on
+        solve then runs the exact checker n + 2 times and the caller's
+        `fairness_factor` once more; all of them read the stored ints, so
+        they make no `as_integer_ratio` call, on a rational instance (here
+        every value over 7) as on an integer one."""
         integers = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
-        sevenths = Instance(tuple(tuple(v / 7 for v in row) for row in integers.valuations))
+        sevenths = Instance.from_rows([[v / 7 for v in row] for row in integers.valuations])
         calls = 0
         as_integer_ratio = Fraction.as_integer_ratio
 
@@ -424,8 +424,8 @@ class TestCompletionWork:
             fairness_factor(instance, allocation, EFX)
             assert sum(isinstance(e, InvariantChecked) for e in trace) > instance.agent_count
             scaled[name] = calls
-        assert 0 < scaled["sevenths"] <= integers.agent_count * integers.item_count
-        assert scaled["integers"] == 0
+        assert sevenths.scales == (7,) * sevenths.agent_count
+        assert scaled == {"sevenths": 0, "integers": 0}
 
     @pytest.mark.parametrize("agents", [6, 3])
     def test_a_file_to_file_solve_builds_no_fraction_per_value(self, monkeypatch, agents):
@@ -605,8 +605,8 @@ class TestScalingThroughThePipeline:
         compares agents, so per-row factors can reorder it: both runs start
         from the unscaled run's matching."""
         instance, _ = case
-        scaled = Instance(
-            tuple(tuple(v * c for v in row) for row, c in zip(instance.valuations, cs))
+        scaled = Instance.from_rows(
+            [[v * c for v in row] for row, c in zip(instance.valuations, cs)]
         )
         for solver in (solve_efr, solve_efx):
             expected = solver(instance)
@@ -1042,3 +1042,56 @@ class TestGoldenTrace:
         assert digest.hexdigest() == (
             "6c05012e51752298b8406f156db5b00ffbcb072aebdb298513cb4d280249097e"
         )
+
+
+def fibonacci(count: int) -> list[int]:
+    numbers = [0, 1]
+    while len(numbers) < count:
+        numbers.append(numbers[-1] + numbers[-2])
+    return numbers
+
+
+FIB = fibonacci(90)
+BOUNDARY_BASE = [[0, 13, 21, 0, 10, 0], [16, 19, 4, 11, 36, 13], [3, 3, 17, 9, 14, 2]]
+
+
+def boundary_rows(j: int) -> list[list[int]]:
+    """The EFX boundary family: every value of `BOUNDARY_BASE` times
+    F(j+1), then agent 0's items 1 and 2 set to 21 F(j) and 21 F(j+1), so
+    that the final factor sits at F(j)/F(j+1), next to phi - 1."""
+    rows = [[v * FIB[j + 1] for v in row] for row in BOUNDARY_BASE]
+    rows[0][1], rows[0][2] = 21 * FIB[j], 21 * FIB[j + 1]
+    return rows
+
+
+class TestBoundaryInstances:
+    """Solves whose decisions sit on phi - 1. For odd j, F(j)/F(j+1) lies
+    above phi - 1 and the solver keeps agent 0's pair at exactly that
+    factor; for even j it lies below, and the solver takes other bundles.
+    From j = 41 on, a float cannot tell F(j)/F(j+1) from phi - 1, so only
+    exact comparisons give these answers."""
+
+    @pytest.mark.parametrize(
+        "j, bundles, factor, witness",
+        [
+            *((j, [[0, 1], [4, 5], [2, 3]], Fraction(FIB[j], FIB[j + 1]), (0, 2))
+              for j in (7, 41, 81)),
+            *((j, [[0, 1, 3], [4, 5], [2]], Fraction(17, 14), (2, 1)) for j in (8, 42, 82)),
+        ],
+    )
+    def test_the_efx_fibonacci_family(self, j, bundles, factor, witness):
+        rows = boundary_rows(j)
+        integers = Instance.from_rows(rows)
+        fractions = Instance.from_rows([[Fraction(v, FIB[j + 1]) for v in row] for row in rows])
+        # agent 0's row over F(j+1) is 21 F(j) / F(j+1), 21 and 10 where not 0
+        assert fractions.scales == (FIB[j + 1] // math.gcd(21, FIB[j + 1]), 1, 1)
+        assert integers.scales == (1, 1, 1)
+        for instance in (integers, fractions):
+            allocation, _ = solve_efx(instance, check=True)
+            report = fairness_factor(instance, allocation, EFX)
+            assert [sorted(b) for b in allocation.bundles] == bundles
+            assert (report.factor, report.witness) == (factor, witness)
+
+    def test_floats_cannot_tell_the_crossing(self):
+        assert (FIB[41], FIB[42]) == (165580141, 267914296)
+        assert float(Fraction(FIB[41], FIB[42])) == (math.sqrt(5) - 1) / 2

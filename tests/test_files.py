@@ -98,25 +98,64 @@ class TestInstanceFiles:
         assert str(raised.value) == message
 
     def test_integer_rows_stay_ints_and_other_rows_become_fractions(self):
+        """Every row is stored as ints over one scale: an integer row over
+        1, any other row over the LCM of its denominators."""
         instance = instance_from_json('{"valuations": [[3, 0, 2], [1, "1/2", 4]]}')
-        assert instance.rows == ((3, 0, 2), (Fraction(1), Fraction(1, 2), Fraction(4)))
-        assert [type(v) for row in instance.rows for v in row] == [int] * 3 + [Fraction] * 3
-        assert instance.scaled_rows == ((3, 0, 2), (2, 1, 8))
+        assert instance.rows == ((3, 0, 2), (2, 1, 8))
+        assert instance.scales == (1, 2)
+        assert all(type(x) is int for row in instance.rows for x in row)
+        assert instance.scaled_rows is instance.rows
         assert instance.valuations == ((3, 0, 2), (1, Fraction(1, 2), 4))
         assert all(type(v) is Fraction for row in instance.valuations for v in row)
 
     def test_integer_rows_equal_and_hash_as_fraction_rows(self):
-        ints = Instance.from_rows([[1, 2]])
-        fractions = Instance(((Fraction(1), Fraction(2)),))
-        assert type(ints.rows[0][0]) is int and type(fractions.rows[0][0]) is Fraction
-        assert ints == fractions and hash(ints) == hash(fractions)
+        """Ints, "p/q" strings and `Fraction`s of equal values give equal
+        instances with equal hashes, in files as in `from_rows`."""
+        forms = [
+            Instance.from_rows([[1, 2], [1, 3]]),
+            Instance.from_rows([[Fraction(1), Fraction(2)], ["2/2", "6/2"]]),
+            Instance.from_rows([["1", Fraction(4, 2)], [Fraction(1), 3]]),
+            instance_from_json('{"valuations": [["1", "2/1"], [1, "3"]]}'),
+        ]
+        halves = [
+            Instance.from_rows([[Fraction(1, 2), 1]]),
+            Instance.from_rows([["1/2", "2/2"]]),
+            Instance.from_rows([[Fraction(2, 4), Fraction(1)]]),
+            instance_from_json('{"valuations": [["2/4", 1]]}'),
+        ]
+        for equal in (forms, halves):
+            assert len(set(equal)) == 1 and len({hash(i) for i in equal}) == 1
+            assert all(instance == equal[0] for instance in equal)
+        assert forms[0].scales == (1, 1) and halves[0] == Instance(((1, 2),), (2,))
+        assert forms[0] != halves[0]
 
     def test_a_bool_takes_the_fraction_path(self):
         instance = Instance.from_rows([[True, 2]])
-        assert instance.rows == ((Fraction(1), Fraction(2)),)
-        assert type(instance.rows[0][0]) is Fraction
-        with pytest.raises(InvalidInstance, match="valuation True is not a Fraction"):
-            Instance(((True, 2),))
+        assert instance == Instance.from_rows([[1, 2]])
+        assert type(instance.rows[0][0]) is int and instance.scales == (1,)
+        with pytest.raises(InvalidInstance, match="valuation True is not an int"):
+            Instance(((True, 2),), (1,))
+
+    @pytest.mark.parametrize(
+        "rows, scales, message",
+        [
+            (((2, 4),), (2,), "scale 2 is not the LCM of the denominators"),
+            (((0, 0),), (3,), "scale 3 is not the LCM of the denominators"),
+            (((1, 2),), (0,), "scale 0 is not a positive int"),
+            (((1, 2),), (-1,), "scale -1 is not a positive int"),
+            (((1, 2),), (True,), "scale True is not a positive int"),
+            (((1, 2), (3, 4)), (1,), "1 scales for 2 rows"),
+            (((1, 2),), (1, 1), "2 scales for 1 rows"),
+            (((1, Fraction(1, 2)),), (1,), "valuation Fraction(1, 2) is not an int"),
+            (((1, "2"),), (1,), "valuation '2' is not an int"),
+            (((1, 2.0),), (1,), "valuation 2.0 is not an int"),
+            (((1, -1),), (2,), "negative valuation -1/2"),
+        ],
+    )
+    def test_the_stored_form_is_refused_unless_canonical(self, rows, scales, message):
+        with pytest.raises(InvalidInstance) as raised:
+            Instance(rows, scales)
+        assert str(raised.value) == message
 
     def test_the_fraction_table_shares_one_fraction_per_distinct_value(self):
         instance = Instance.from_rows([[5, 0, 5], [0, 5, 7]])
@@ -134,8 +173,8 @@ class TestInstanceFiles:
         ]
         rows.append([Fraction(rng.randrange(10**30), rng.choice([1, 7, 10**20])) for _ in range(m)])
         instance = Instance.from_rows(rows)
-        assert [type(row[0]) for row in instance.rows] == [int] * (len(rows) - 1) + [Fraction]
-        written = [json.dumps([format_rational(v) for v in row]) for row in instance.rows]
+        assert instance.scales[:-1] == (1,) * (len(rows) - 1)
+        written = [json.dumps([format_rational(Fraction(v)) for v in row]) for row in rows]
         valuations = ",\n".join("    " + row for row in written)
         expected = (
             f'{{\n  "n": {len(rows)},\n  "m": {m},\n  "valuations": [\n{valuations}\n  ]\n}}\n'

@@ -146,9 +146,10 @@ def test_the_dead_name_guard_flags_only_unread_private_names():
     assert dead_private_names(sources) == ["a._dead"]
 
 
-# The exact checks scale their own rows from the stored rows
+# The exact checks read the stored rows through a view of their own
 # (`Instance.check_values`); they must not read the solvers' cached decision
-# rows or row scales.
+# rows, which a test overwrites to show that the checks do not depend on
+# them.
 CHECKERS = {
     "model": ("check_values", "fairness_factor", "_worst_rivals"),
     "algorithms": ("_check_refined",),

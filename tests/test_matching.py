@@ -177,9 +177,9 @@ def per_value_log_weights(instance):
 
 
 class TestWarmStartWeights:
-    """`_log_weights` takes one log per distinct integer value and one per
-    `Fraction` value; every float must equal the per-value table's, with
-    `==`, or the warm start could change."""
+    """`_log_weights` takes one log per distinct value of the rows of one
+    scale; every float must equal the per-value table's, with `==`, or the
+    warm start could change."""
 
     def test_same_floats_as_the_per_value_table(self):
         rng = random.Random(4)
@@ -203,7 +203,7 @@ class TestWarmStartWeights:
                     ]
                 )
                 positive_int_rows += sum(
-                    type(row[0]) is int and any(row) for row in instance.rows
+                    s == 1 and any(row) for row, s in zip(instance.rows, instance.scales)
                 )
                 weights = _log_weights(instance)
                 assert weights.shape == (n, m)
@@ -211,10 +211,11 @@ class TestWarmStartWeights:
         assert positive_int_rows > 300
 
     def test_integer_rows_beside_fraction_rows(self):
-        """Rows of ints and rows of `Fraction`s in one instance, where a
-        `Fraction(k)` of one row and an int k of another take the same
-        float."""
+        """Rows of scale 1 beside rows of other scales in one instance, where
+        an equal value takes the same float in every row that holds it,
+        whatever the row's scale."""
         rng = random.Random(5)
+        scales = set()
         for _ in range(200):
             n, m = rng.randint(2, 6), rng.randint(1, 12)
             rows = []
@@ -227,17 +228,20 @@ class TestWarmStartWeights:
                         for _ in range(m)
                     ])
             instance = Instance.from_rows(rows)
+            scales.update(instance.scales)
             weights = _log_weights(instance)
             assert weights.tolist() == per_value_log_weights(instance)
             whole = {}
-            for row, logs in zip(instance.rows, weights.tolist()):
+            for row, logs in zip(instance.valuations, weights.tolist()):
                 for value, log in zip(row, logs):
                     assert whole.setdefault(value, log) == log
+        assert scales == {1, 2, 3, 6}
         instance = Instance.from_rows([[3, 0, 7], [Fraction(7), Fraction(3, 2), Fraction(3)]])
-        assert [type(row[0]) for row in instance.rows] == [int, Fraction]
+        assert instance.rows == ((3, 0, 7), (14, 3, 6)) and instance.scales == (1, 2)
         weights = _log_weights(instance).tolist()
         assert weights[0][0] == weights[1][2] == math.log(3)
         assert weights[0][2] == weights[1][0] == math.log(7)
+        assert weights[1][1] == math.log(3) - math.log(2)
         assert weights == per_value_log_weights(instance)
 
     def test_all_zero_instance_takes_the_fixed_sentinel(self):
