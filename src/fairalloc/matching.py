@@ -9,22 +9,28 @@ one math.log(p) - math.log(q) per distinct nonzero value x, where p/q is
 x/s in lowest terms. Since math.log(1) is 0.0, the floats are exactly those
 of a value-by-value table on the reduced p/q.
 The floats only choose the start: an exact repair loop then fixes
-anything they got wrong. Every iteration is one certify-or-move step: a
-single max-product relaxation over the envy ratios either certifies the
-two properties every later step relies on,
+anything they got wrong. The loop works on the matching as one item vector,
+items[i] = agent i's item, from the warm start to the certified result;
+an `Allocation` is built only for the result and for a move's objective
+check. Every iteration is one certify-or-move step: a single max-product
+relaxation over the envy ratios either certifies the two properties every
+later step relies on,
 
   * the envy-ratio graph admits no improving cycle, and
-  * rank_i * v_i(b) <= v_i(own bundle) for every agent i and remaining b,
+  * rank_i * v_i(b) <= v_i(own item) for every agent i and remaining b,
 
-and returns the envy ranks, or it yields the repair move: a rotation of the
-matched items along the improving cycle it found, or, for the smallest
-(agent, pool item) breaking the second clause, a path move along the
-agent's maximum-product path that pulls the item in. `verify_nsw_certificate`
-is the same step run once on a given matching. The relaxation runs on
-integers only, straight on the integer value matrix, which each step reads
-off `Instance.scaled_rows` at the matched items (`_matching_matrix`; one
-item per agent, so nothing is summed). No `EnvyRatioGraph` is built, and
-the relaxation lists only the envy ratios that can raise a rank
+and returns the envy ranks, or it yields the repair move. Both kinds of
+move are one shift of the vector (`_shift`): each agent on a list takes
+the next one's item and the last takes an incoming one. A rotation along
+the improving cycle the relaxation found takes the first agent's item in;
+for the smallest (agent, pool item) breaking the second clause, a path move
+along the agent's maximum-product path takes the pool item in and returns
+the first agent's item to the pool. `verify_nsw_certificate` is the same
+step run once on a given matching. The relaxation runs on integers only,
+straight on the integer value matrix, which each step reads off
+`Instance.scaled_rows` at the matched items (`_matching_matrix`; one item
+per agent, so nothing is summed). No `EnvyRatioGraph` is built, and the
+relaxation lists only the envy ratios that can raise a rank
 (`envy._relax_max_product`): on a matching with few envious agents it
 costs little more than their edges.
 The solvers keep the matrix of the certified matching (`_certified_matching`)
@@ -32,9 +38,11 @@ and update it through the rest of the solve.
 
 Each repair move strictly increases the lexicographic objective (number of
 agents with positive value, then the product of those values), so the loop
-terminates. The final allocation maximizes that objective whenever the
-floats ranked candidate matchings correctly; the exact certificate holds
-unconditionally, which is all the downstream guarantees consume.
+terminates. The objective is read from the stored integer rows, one exact
+`Fraction` per matching, and no `Fraction` table is built. The final
+allocation maximizes that objective whenever the floats ranked candidate
+matchings correctly; the exact certificate holds unconditionally, which is
+all the downstream guarantees consume.
 
 The warm start's solver is SciPy's `linear_sum_assignment`, loaded once at
 import straight from its compiled kernel file (`_lsap*` in the
@@ -49,7 +57,7 @@ import importlib.util
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -57,20 +65,9 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .envy import (
-    EnvyRanks,
-    _predecessor_path,
-    _relax_max_product,
-    rotate_bundles,
-)
+from .envy import EnvyRanks, _predecessor_path, _relax_max_product
 from .errors import ImprovingCycleExists, InstanceTooSmall, InvalidAllocation
-from .model import (
-    Allocation,
-    Instance,
-    bundle_value,
-    check_allocation,
-    is_infinite,
-)
+from .model import Allocation, Instance, check_allocation, is_infinite
 
 Objective = tuple[int, Fraction]
 
@@ -131,15 +128,19 @@ class NswMatchingResult:
 
 
 def lexicographic_objective(instance: Instance, allocation: Allocation) -> Objective:
-    """(number of agents with positive own value, product of those values)."""
-    count = 0
-    prod = Fraction(1)
-    for agent, bundle in enumerate(allocation.bundles):
-        value = bundle_value(instance, agent, bundle)
-        if value > 0:
+    """(number of agents with positive own value, product of those values).
+
+    Read from the stored integer rows: agent i's own value is its row's sum
+    over the bundle, over scales[i], so the product is that of the positive
+    sums over that of their rows' scales, one `Fraction`."""
+    check_allocation(instance, allocation)
+    count, num, den = 0, 1, 1
+    for row, scale, bundle in zip(instance.rows, instance.scales, allocation.bundles):
+        if total := sum(row[item] for item in bundle):
             count += 1
-            prod *= value
-    return count, prod
+            num *= total
+            den *= scale
+    return count, Fraction(num, den)
 
 
 def _log_weights(instance: Instance) -> np.ndarray:
@@ -179,41 +180,36 @@ def _log_weights(instance: Instance) -> np.ndarray:
     return weights
 
 
-def _warm_start(instance: Instance) -> Allocation:
-    """Float log-weight matching on `_log_weights`."""
-    n, m = instance.agent_count, instance.item_count
-    rows, cols = linear_sum_assignment(_log_weights(instance), maximize=True)
-    bundles: list[frozenset[int]] = [frozenset()] * n
-    for agent, item in zip(rows, cols):
-        bundles[agent] = frozenset({int(item)})
-    return Allocation(tuple(bundles), m)
+def _warm_start(instance: Instance) -> list[int]:
+    """Float log-weight matching on `_log_weights`, as the item vector:
+    items[i] is agent i's item. There are at least as many items as agents,
+    so every agent is matched, and the agents come back in order."""
+    return linear_sum_assignment(_log_weights(instance), maximize=True)[1].tolist()
 
 
-def _apply_path_move(
-    allocation: Allocation, path: list[int], item: int
-) -> Allocation:
-    """Shift bundles backwards along the path; its endpoint takes the item.
-
-    Every agent on the path receives its successor's bundle, the endpoint
-    receives {item} from the pool, and the first agent's old item returns
-    to the pool. A single-vertex path is a plain swap against the pool.
-    """
-    new = list(allocation.bundles)
-    for t in range(len(path) - 1):
-        new[path[t]] = allocation.bundles[path[t + 1]]
-    new[path[-1]] = frozenset({item})
-    return Allocation(tuple(new), allocation.item_count)
+def _allocation(items: list[int], item_count: int) -> Allocation:
+    """The matching as an `Allocation`: agent i holds {items[i]}."""
+    return Allocation.of([[item] for item in items], item_count)
 
 
-def _matching_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]:
-    """values[i][j] = v_i(B_j) of a one-item-per-agent matching: each agent's
-    row of `Instance.scaled_rows` read at the matched items, with no sums."""
-    items = [item for bundle in allocation.bundles for item in bundle]
+def _shift(items: list[int], agents: Sequence[int], incoming: int) -> list[int]:
+    """The one repair move: each agent in `agents` takes the next agent's
+    item, and the last takes `incoming`."""
+    new = items.copy()
+    for agent, following in zip(agents, agents[1:]):
+        new[agent] = items[following]
+    new[agents[-1]] = incoming
+    return new
+
+
+def _matching_matrix(instance: Instance, items: list[int]) -> list[list[int]]:
+    """values[i][j] = v_i(item of j): each agent's row of
+    `Instance.scaled_rows` read at the matched items, with no sums."""
     return [[row[item] for item in items] for row in instance.scaled_rows]
 
 
 def _find_pool_violation(
-    instance: Instance, allocation: Allocation, values: list[list[int]], ranks: EnvyRanks
+    instance: Instance, items: list[int], values: list[list[int]], ranks: EnvyRanks
 ) -> tuple[int, int] | None:
     """Smallest (agent, remaining item) with rank * value > own value, read
     from the agent's row of `Instance.scaled_rows` and values[agent][agent].
@@ -226,7 +222,7 @@ def _find_pool_violation(
     value grows with value, and the pool's values are among the row's, so
     otherwise none of them does.
     """
-    pool = sorted(allocation.remaining)
+    pool = sorted(set(range(instance.item_count)).difference(items))
     for agent, row in enumerate(instance.scaled_rows):
         rank = ranks[agent]
         if is_infinite(rank):
@@ -242,19 +238,19 @@ def _find_pool_violation(
 
 
 def _certify_or_move(
-    instance: Instance, allocation: Allocation, values: list[list[int]]
-) -> EnvyRanks | Allocation:
-    """The certified envy ranks, or the repair loop's next allocation, from
-    the allocation's value matrix `values`."""
+    instance: Instance, items: list[int], values: list[list[int]]
+) -> EnvyRanks | list[int]:
+    """The certified envy ranks, or the repair loop's next item vector, from
+    the matching's value matrix `values`."""
     try:
         ranks, preds = _relax_max_product(values)
     except ImprovingCycleExists as found:
-        return rotate_bundles(allocation, found.cycle)
-    violation = _find_pool_violation(instance, allocation, values, ranks)
+        return _shift(items, found.cycle, items[found.cycle[0]])
+    violation = _find_pool_violation(instance, items, values, ranks)
     if violation is None:
         return ranks
     agent, item = violation
-    return _apply_path_move(allocation, _predecessor_path(preds, agent), item)
+    return _shift(items, _predecessor_path(preds, agent), item)
 
 
 def nsw_matching(instance: Instance) -> NswMatchingResult:
@@ -268,22 +264,21 @@ def _certified_matching(
     """`nsw_matching`'s result plus the value matrix of its matching, the
     one the last certify-or-move step built: the solvers keep it up to date
     from there instead of summing the bundles again."""
-    if instance.item_count < instance.agent_count:
-        raise InstanceTooSmall(
-            f"need at least {instance.agent_count} items, got {instance.item_count}"
-        )
-    allocation = _warm_start(instance)
-    objective: Objective | None = None  # of `allocation`, once a move needs it
+    n, m = instance.agent_count, instance.item_count
+    if m < n:
+        raise InstanceTooSmall(f"need at least {n} items, got {m}")
+    items = _warm_start(instance)
+    objective: Objective | None = None  # of `items`, once a move needs it
     while True:
-        values = _matching_matrix(instance, allocation)
-        step = _certify_or_move(instance, allocation, values)
+        values = _matching_matrix(instance, items)
+        step = _certify_or_move(instance, items, values)
         if isinstance(step, EnvyRanks):
-            return NswMatchingResult(allocation, step), values
+            return NswMatchingResult(_allocation(items, m), step), values
         if objective is None:
-            objective = lexicographic_objective(instance, allocation)
-        after = lexicographic_objective(instance, step)
+            objective = lexicographic_objective(instance, _allocation(items, m))
+        after = lexicographic_objective(instance, _allocation(step, m))
         assert after > objective, "a repair move must improve the objective"
-        allocation, objective = step, after
+        items, objective = step, after
 
 
 def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
@@ -291,5 +286,6 @@ def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
     check_allocation(instance, allocation)
     if any(len(bundle) != 1 for bundle in allocation.bundles):
         raise InvalidAllocation("certificate verification needs one item per agent")
-    values = _matching_matrix(instance, allocation)
-    return isinstance(_certify_or_move(instance, allocation, values), EnvyRanks)
+    items = [item for (item,) in allocation.bundles]
+    values = _matching_matrix(instance, items)
+    return isinstance(_certify_or_move(instance, items, values), EnvyRanks)

@@ -20,6 +20,12 @@ the rule of the benchmark's verify-rational workload) at n = 10 and 40, and
 (x*10^40 + r)/7 values (x in 1-3, r in 0-50, 15% zeros) at n = 5 and 10.
 The second family stays small: when the values are near-ties, the exact
 repair loop takes seconds per matching from n = 14 on.
+
+Three jitter families, at n = 2-8 with m drawn from n-3n and seeds 0-7,
+make the repair loop move, which the families above hardly do: integer
+rows of 10^17 + r (r in 0-3), whose logs the warm start cannot rank; the
+same rows with 30% of their values set to 0; and the same values over
+denominators drawn from 1-3.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ SIZES = (10, 20, 40, 80, 160)
 SEEDS = range(4)
 SOLVERS = (("efr", solve_efr), ("efx", solve_efx))
 RATIONAL_SIZES = {"pq": (10, 40), "big-sevenths": (5, 10)}
+JITTER_SIZES = range(2, 9)
+JITTER_SEEDS = range(8)
 
 
 def rational_value(family: str, rng: random.Random) -> Fraction:
@@ -48,6 +56,18 @@ def rational_value(family: str, rng: random.Random) -> Fraction:
     if rng.random() < 0.15:
         return Fraction(0)
     return Fraction(rng.randint(1, 3) * 10**40 + rng.randint(0, 50), 7)
+
+
+def jitter_families(n: int, s: int):
+    """(family, rows) for the three jitter families of one (n, seed)."""
+    rng = random.Random(f"jitter/{n}/{s}")
+    m = rng.randint(n, 3 * n)
+    rows = [[10**17 + rng.randint(0, 3) for _ in range(m)] for _ in range(n)]
+    yield "jitter", rows
+    zeros = random.Random(f"jitter-zeros/{n}/{s}")
+    yield "jitter-zeros", [[0 if zeros.random() < 0.3 else v for v in row] for row in rows]
+    qs = random.Random(f"jitter-pq/{n}/{s}")
+    yield "jitter-pq", [[Fraction(v, qs.randint(1, 3)) for v in row] for row in rows]
 
 
 def solve_digest(allocation, trace) -> str:
@@ -76,6 +96,10 @@ def families():
             for s in SEEDS:
                 rng = random.Random(f"{family}/{n}/{s}")
                 rows = [[rational_value(family, rng) for _ in range(3 * n)] for _ in range(n)]
+                yield f"{family}-{n}", s, Instance.from_rows(rows)
+    for n in JITTER_SIZES:
+        for s in JITTER_SEEDS:
+            for family, rows in jitter_families(n, s):
                 yield f"{family}-{n}", s, Instance.from_rows(rows)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -43,6 +44,7 @@ from fairalloc.algorithms import (
     SourcePick,
     _check_refined,
 )
+from fairalloc.cli import main
 from fairalloc.envy import (
     EnvyRanks,
     _envy_mask,
@@ -611,7 +613,7 @@ class TestScalingThroughThePipeline:
         for solver in (solve_efr, solve_efx):
             expected = solver(instance)
             with pytest.MonkeyPatch.context() as patch:
-                start = expected[1][0].allocation
+                start = [item for (item,) in expected[1][0].allocation.bundles]
                 patch.setattr("fairalloc.matching._warm_start", lambda _: start)
                 assert run_bytes(solver(scaled)) == run_bytes(expected)
 
@@ -1053,6 +1055,7 @@ def fibonacci(count: int) -> list[int]:
 
 FIB = fibonacci(90)
 BOUNDARY_BASE = [[0, 13, 21, 0, 10, 0], [16, 19, 4, 11, 36, 13], [3, 3, 17, 9, 14, 2]]
+BOUNDARY_PAIR = [[0, 1], [4, 5], [2, 3]]  # agent 0 keeps items 0 and 1
 
 
 def boundary_rows(j: int) -> list[list[int]]:
@@ -1074,7 +1077,7 @@ class TestBoundaryInstances:
     @pytest.mark.parametrize(
         "j, bundles, factor, witness",
         [
-            *((j, [[0, 1], [4, 5], [2, 3]], Fraction(FIB[j], FIB[j + 1]), (0, 2))
+            *((j, BOUNDARY_PAIR, Fraction(FIB[j], FIB[j + 1]), (0, 2))
               for j in (7, 41, 81)),
             *((j, [[0, 1, 3], [4, 5], [2]], Fraction(17, 14), (2, 1)) for j in (8, 42, 82)),
         ],
@@ -1095,3 +1098,26 @@ class TestBoundaryInstances:
     def test_floats_cannot_tell_the_crossing(self):
         assert (FIB[41], FIB[42]) == (165580141, 267914296)
         assert float(Fraction(FIB[41], FIB[42])) == (math.sqrt(5) - 1) / 2
+
+    @pytest.mark.parametrize("j, ulps", [(42, 1), (44, 0), (82, 0)])
+    def test_factor_at_least_decides_below_the_crossing(self, j, ulps):
+        """Agent 0's pair at even j: its EFX factor F(j)/F(j+1) lies below
+        phi - 1, so the guarantee is missed, while its float lies one ulp
+        below float(phi - 1) at j = 42 and equals it from j = 44 on."""
+        instance = Instance.from_rows(boundary_rows(j))
+        report = fairness_factor(instance, Allocation.of(BOUNDARY_PAIR, 6), EFX)
+        assert (report.factor, report.witness) == (Fraction(FIB[j], FIB[j + 1]), (0, 2))
+        phi_minus_one = (math.sqrt(5) - 1) / 2
+        assert float(report.factor) == phi_minus_one - ulps * math.ulp(phi_minus_one)
+        assert not meets_threshold(report, GOLDEN_RATIO_MINUS_ONE)
+
+    def test_verify_misses_phi_minus_one_where_the_floats_are_equal(self, tmp_path, capsys):
+        (tmp_path / "instance.json").write_text(json.dumps({"valuations": boundary_rows(44)}))
+        (tmp_path / "allocation.json").write_text(json.dumps({"bundles": BOUNDARY_PAIR}))
+        code = main([
+            "verify", "--notion", "efx", "--threshold", "phi-1",
+            "--input", str(tmp_path / "instance.json"),
+            "--allocation", str(tmp_path / "allocation.json"),
+        ])
+        assert code == 1
+        assert "threshold phi-1: not met" in capsys.readouterr().out

@@ -113,7 +113,8 @@ class TestNswMatching:
             best = oracle_nsw_matching(instance)[0]
             result = nsw_matching(instance)
             assert lexicographic_objective(instance, result.allocation) == best
-            if lexicographic_objective(instance, _warm_start(instance)) != best:
+            start = Allocation.of([[item] for item in _warm_start(instance)], m)
+            if lexicographic_objective(instance, start) != best:
                 repaired += 1
         assert repaired > 10  # the sweep genuinely exercises the repair path
 
@@ -139,8 +140,9 @@ class TestNswMatching:
                 for _ in range(n)
             ]
             instance = Instance.from_rows(rows)
-            start = Allocation.of([[item] for item in rng.sample(range(m), n)], m)
-            monkeypatch.setattr(matching, "_warm_start", lambda _instance: start)
+            items = rng.sample(range(m), n)
+            start = Allocation.of([[item] for item in items], m)
+            monkeypatch.setattr(matching, "_warm_start", lambda _instance: items)
             result = nsw_matching(instance)
             assert verify_nsw_certificate(instance, result.allocation)
             assert lexicographic_objective(instance, result.allocation) >= (
@@ -153,6 +155,60 @@ class TestNswMatching:
                 through_infinite += 1
         # most runs start from a graph with infinite edges and make moves
         assert through_infinite > 50
+
+
+class TestLexicographicObjective:
+    def test_rejects_an_allocation_that_does_not_fit(self):
+        instance = Instance.from_rows([[1, 2, 3], [3, 4, 5]])
+        for bundles, item_count in (([[0]], 3), ([[0], [1]], 5), ([[0], [1], [2]], 3)):
+            with pytest.raises(InvalidAllocation):
+                lexicographic_objective(instance, Allocation.of(bundles, item_count))
+
+    def test_equals_the_fraction_sums(self):
+        """Bundles of any size on p/q rows with zeros: the count and product
+        of the positive own values summed in `Fraction`s."""
+        rng = random.Random(24)
+        for _ in range(300):
+            n, m = rng.randint(1, 5), rng.randint(1, 9)
+            instance = Instance.from_rows(
+                [
+                    [
+                        0 if rng.random() < 0.3
+                        else Fraction(rng.randint(1, 10**rng.randint(1, 30)), rng.randint(1, 9))
+                        for _ in range(m)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            bundles = [[] for _ in range(n)]
+            for item in range(m):
+                if rng.random() < 0.8:
+                    bundles[rng.randrange(n)].append(item)
+            allocation = Allocation.of(bundles, m)
+            own = [bundle_value(instance, i, b) for i, b in enumerate(allocation.bundles)]
+            positive = [v for v in own if v > 0]
+            assert lexicographic_objective(instance, allocation) == (
+                len(positive), product(positive)
+            )
+
+    def test_a_solve_that_moves_builds_no_fraction_table(self, monkeypatch):
+        """A jitter instance the warm start misranks: its repair loop makes
+        two moves, and neither solve nor any of its checks builds
+        `Instance.valuations`."""
+        calls = 0
+        objective = matching.lexicographic_objective
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return objective(*args)
+
+        monkeypatch.setattr(matching, "lexicographic_objective", counted)
+        instance = Instance.from_rows([[10**17 + r for r in row] for row in [[2, 0, 3], [1, 1, 2]]])
+        for solver in (fairalloc.solve_efr, fairalloc.solve_efx):
+            solver(instance, check=True)
+        assert calls == 2 * 3  # per solve: the start's objective and one per move
+        assert "valuations" not in instance.__dict__
 
 
 def per_value_log_weights(instance):
@@ -433,7 +489,8 @@ class TestPoolViolation:
             ranks = EnvyRanks(tuple(ranks))
             expected = reference_pool_violation(instance, allocation, ranks)
             values = _value_matrix(instance, allocation)
-            assert _find_pool_violation(instance, allocation, values, ranks) == expected
+            items = [item for (item,) in bundles]
+            assert _find_pool_violation(instance, items, values, ranks) == expected
             found += expected is not None
         assert ties > 100 and 150 < found < 450
 
@@ -449,7 +506,7 @@ class TestPoolViolation:
         ranks = EnvyRanks((rank, Fraction(1)))
         values = _value_matrix(instance, allocation)
         assert reference_pool_violation(instance, allocation, ranks) == expected
-        assert _find_pool_violation(instance, allocation, values, ranks) == expected
+        assert _find_pool_violation(instance, [0, 1], values, ranks) == expected
 
 
 class TestMatchingMatrix:
@@ -462,10 +519,11 @@ class TestMatchingMatrix:
         steps = 0
         build = matching._matching_matrix
 
-        def compared(instance, allocation):
+        def compared(instance, items):
             nonlocal steps
             steps += 1
-            values = build(instance, allocation)
+            values = build(instance, items)
+            allocation = Allocation.of([[item] for item in items], instance.item_count)
             assert values == _value_matrix(instance, allocation)
             return values
 
@@ -483,7 +541,7 @@ class TestMatchingMatrix:
                 for _ in range(n)
             ]
             instance = Instance.from_rows(rows)
-            start = Allocation.of([[item] for item in rng.sample(range(m), n)], m)
+            start = rng.sample(range(m), n)
             monkeypatch.setattr(matching, "_warm_start", lambda _instance: start)
             result = nsw_matching(instance)
             assert verify_nsw_certificate(instance, result.allocation)
