@@ -51,18 +51,16 @@ from .envy import (
     topological_order,
 )
 from .errors import InfiniteRank, InternalGuaranteeViolated
-from .matching import (
-    _certified_matching,
-    nsw_matching,  # noqa: F401 -- perfbench/spans.py times this binding
-    verify_nsw_certificate,
-)
+from .matching import _matching_matrix, nsw_matching, verify_nsw_certificate
 from .model import (
     Allocation,
     FairnessNotion,
+    FairnessReport,
     Instance,
     Surd,
     Threshold,
     _worst_rivals,
+    check_allocation,
     compare_scaled,
     fairness_factor,
     is_infinite,
@@ -231,6 +229,13 @@ class RefinementState:
     order: tuple[int, ...]
 
 
+def _pick(row: list[int], pool: list[int]) -> int:
+    """Pop the sorted `pool`'s first best item for `row`: one `itemgetter`
+    pass over the pool, then the first maximum's index (the smallest item)."""
+    offers = itemgetter(*pool)(row) if len(pool) > 1 else (row[pool[0]],)
+    return pool.pop(offers.index(max(offers)))
+
+
 def _take(
     instance: Instance,
     values: list[list[int]],
@@ -238,15 +243,13 @@ def _take(
     pool: list[int],
     agent: int,
 ) -> tuple[int, bool]:
-    """The pick step of refinement and completion: the agent takes its first
-    best item of the sorted `pool` (one `itemgetter` pass over the pool, then
-    the index of the first maximum) and adds the item's entry of every row to
-    its column of `values`. The column only grows, so another agent can only
-    gain bit `agent` and only the agent's own mask is recomputed: O(n).
-    Returns the item and whether anyone now envies the agent."""
+    """The pick step of completion: the agent picks (`_pick`) and adds the
+    item's entry of every row to its column of `values`. The column only
+    grows, so another agent can only gain bit `agent` and only the agent's
+    own mask is recomputed: O(n). Returns the item and whether anyone now
+    envies the agent."""
     rows = instance.scaled_rows
-    offers = itemgetter(*pool)(rows[agent]) if len(pool) > 1 else (rows[agent][pool[0]],)
-    item = pool.pop(offers.index(max(offers)))  # first maximum: smallest index
+    item = _pick(rows[agent], pool)
     bit = 1 << agent
     envied = False
     for i, row, value_row in zip(range(len(rows)), rows, values):
@@ -275,10 +278,9 @@ def refine_step2(
     mode: the bottom group picks once. Agents whose turn finds an empty
     pool are skipped.
     """
-    values = _value_matrix(instance, state.allocation)
+    check_allocation(instance, state.allocation)
     bundles, pool = _bundle_lists(state.allocation)
-    trace = [] if trace is None else trace
-    _refine(instance, state.groups, state.order, bundles, pool, values, _envy_masks(values), trace)
+    _refine(instance, state.groups, state.order, bundles, pool, [] if trace is None else trace)
     return RefinementState(Allocation.of(bundles, instance.item_count), state.groups, state.order)
 
 
@@ -288,18 +290,18 @@ def _refine(
     order: tuple[int, ...],
     bundles: list[list[int]],
     pool: list[int],
-    values: list[list[int]],
-    masks: list[int],
     trace: Trace,
 ) -> None:
-    """`refine_step2` in place on `bundles` and `pool`, with the value matrix
-    `values` and envy masks `masks`, which every pick (`_take`) keeps up to date."""
+    """`refine_step2` in place on `bundles` and `pool`. A pick (`_pick`)
+    reads only the picker's row of `Instance.scaled_rows` and the pool:
+    no refinement decision reads the envy graph."""
+    rows = instance.scaled_rows
     for label, group in MODES[groups.mode].passes:
         for agent in order:
             if not pool:
                 break  # pool exhausted: remaining picks are skipped
             if agent in groups.members[group]:
-                item, _ = _take(instance, values, masks, pool, agent)
+                item = _pick(rows[agent], pool)
                 bundles[agent].append(item)
                 trace.append(Pick(agent, item, label))
 
@@ -317,9 +319,8 @@ def envy_cycle_elimination(
     The envy graph is read from one integer matrix values[i][j] = v_i(B_j)
     on the rows of `Instance.scaled_rows`, and its strict-envy edges from
     one bitmask per agent, bit j of masks[i] set iff values[i][j] >
-    values[i][i]. This function sums both from the allocation; in the
-    pipeline they are threaded from the matching through refinement
-    instead (`_complete`). The procedure only ever compares entries of one
+    values[i][i]. Both are built once, from the bundles, when the pool is
+    not empty (`_complete`). The procedure only ever compares entries of one
     row with each other (values[i][j] > values[i][i], and the source's best
     pool item), so each row's own scale cancels.
 
@@ -332,10 +333,9 @@ def envy_cycle_elimination(
     when the source is now envied and reaches itself along the masks;
     anywhere else it would return None.
     """
-    values = _value_matrix(instance, allocation)
+    check_allocation(instance, allocation)
     bundles, pool = _bundle_lists(allocation)
-    trace = [] if trace is None else trace
-    _complete(instance, bundles, pool, values, _envy_masks(values), trace, None)
+    _complete(instance, bundles, pool, [] if trace is None else trace, None)
     return Allocation.of(bundles, instance.item_count)
 
 
@@ -343,16 +343,17 @@ def _complete(
     instance: Instance,
     bundles: list[list[int]],
     pool: list[int],
-    values: list[list[int]],
-    masks: list[int],
     trace: Trace,
     mode: FairnessNotion | None,
 ) -> None:
-    """`envy_cycle_elimination` in place on the bundle lists, the sorted
-    pool, the value matrix `values` and the envy masks `masks`. With `mode`
-    set, the mode's threshold factor is re-verified by the exact checker on
-    its own integer view of the instance after every rotation and every
-    pick, so a wrong matrix or mask update cannot certify itself."""
+    """`envy_cycle_elimination` in place on the bundle lists and the sorted
+    pool. On an empty pool it returns at once; otherwise it sums the value
+    matrix from the bundles and builds the envy masks. With `mode` set, the
+    mode's threshold factor is re-verified by the exact checker on its own
+    integer view of the instance after every rotation and every pick, so a
+    wrong matrix or mask update cannot certify itself."""
+    if not pool:
+        return
 
     def check_running(tag: str) -> None:
         if mode is None:
@@ -361,8 +362,10 @@ def _complete(
         passed = meets_threshold(report, MODES[mode].threshold)
         trace.append(InvariantChecked("completion-factor", passed))
         if not passed:
-            raise InternalGuaranteeViolated(f"completion-factor after {tag}")
+            raise InternalGuaranteeViolated(f"completion-factor after {tag}: {_missed(report)}")
 
+    values = _value_matrix(instance.scaled_rows, bundles)
+    masks = _envy_masks(values)
     search = True  # the starting allocation may hold cycles
     while pool:
         while search and (cycle := _envy_cycle_in_masks(masks)) is not None:
@@ -385,6 +388,12 @@ def _complete(
 
 
 # --- Mid-run invariant checks ------------------------------------------------
+
+
+def _missed(report: FairnessReport) -> str:
+    """A missed guarantee, named by its notion, exact factor and witness pair."""
+    notion, factor, witness = report.notion.value, report.factor, report.witness
+    return f"{notion} factor {factor} at witness pair {witness} misses the guarantee"
 
 
 def _check(trace: Trace, name: str, passed: bool) -> None:
@@ -454,9 +463,7 @@ def _solve(
     threshold = MODES[mode].threshold
     trace: Trace = []
 
-    # values[i][j] = v_i(B_j): built by the matching's last certify step and
-    # kept up to date by every refinement and completion step after it
-    result, values = _certified_matching(instance)
+    result = nsw_matching(instance)
     trace.append(MatchingDone(result.allocation, result.ranks))
     if check:
         _check(
@@ -468,23 +475,23 @@ def _solve(
     groups = _partition_groups(result.ranks, mode)
     trace.append(GroupsAssigned(groups))
 
-    masks = _envy_masks(values)
+    # Each step builds what it reads: the order step the matched items' matrix,
+    # refinement the picker's row and the pool, completion a matrix of its own
+    bundles, pool = _bundle_lists(result.allocation)
+    masks = _envy_masks(_matching_matrix(instance, [item for (item,) in bundles]))
     order = topological_order(instance.agent_count, _mask_edges(masks))
 
-    bundles, pool = _bundle_lists(result.allocation)
-    _refine(instance, groups, order, bundles, pool, values, masks, trace)
+    _refine(instance, groups, order, bundles, pool, trace)
     if check:
         state = RefinementState(Allocation.of(bundles, instance.item_count), groups, order)
         _check_refined(instance, state, trace)
 
-    _complete(instance, bundles, pool, values, masks, trace, mode if check else None)
+    _complete(instance, bundles, pool, trace, mode if check else None)
     allocation = Allocation.of(bundles, instance.item_count)
 
     report = fairness_factor(instance, allocation, mode)
     if not meets_threshold(report, threshold):
-        raise InternalGuaranteeViolated(
-            f"final {mode.value} factor {report.factor} misses the guarantee"
-        )
+        raise InternalGuaranteeViolated(f"final {_missed(report)}")
     return allocation, trace
 
 

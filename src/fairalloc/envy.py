@@ -22,14 +22,14 @@ it is never listed, and an agent still at the all-ones baseline lists only
 its edges of weight > 1, the only ones that can raise a rank from there: a
 pass costs the strict-envy edges plus the out-edges of the agents whose
 rank ends above 1, not all n(n-1) ratios. `_value_matrix` is the one place
-a matrix is summed from bundles; the solvers read one per matching step off
-the scaled rows at the matched items and keep the last one up to date.
+a matrix is summed from bundles, for the graph queries and for completion;
+the matching reads its one-item matrices off the matched items' entries.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
-iff values[i][j] > values[i][i] (`_envy_masks`). The solvers build the masks
-from the matching's matrix and keep them up to date from the order step on,
-which reads its edges off them (`_mask_edges`). There is one strict-envy
-cycle search, `_envy_cycle_in_masks`, a depth-first search on the masks.
+iff values[i][j] > values[i][i] (`_envy_masks`). The solvers' order step
+reads its edges off the matching's masks (`_mask_edges`); completion builds
+masks from the matrix it sums and keeps them up to date. There is one
+strict-envy cycle search, `_envy_cycle_in_masks`, a depth-first search.
 Completion searches again after a pick only when `_on_cycle` finds the
 picking agent on a cycle: the graph was acyclic before the pick, and a pick
 only adds edges into the picking agent and only removes edges out of it, so
@@ -100,18 +100,20 @@ def _canonical(cycle: list[int]) -> Cycle:
     return tuple(cycle[start:] + cycle[:start])
 
 
-def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]:
-    """values[i][j] = v_i(bundle_j) on agent i's scaled row, exactly.
+def _value_matrix(
+    rows: Sequence[Sequence[int]], bundles: Sequence[Iterable[int]]
+) -> list[list[int]]:
+    """values[i][j] = v_i(bundle_j) on agent i's row, exactly; the callers
+    check the allocation.
 
     One walk over each row: the allocated items are listed once as (item,
     owner) pairs, and each adds its entry of the row to its owner's column.
     Pool items are never read.
     """
-    check_allocation(instance, allocation)
-    n = allocation.agent_count
-    owned = [(item, j) for j, bundle in enumerate(allocation.bundles) for item in bundle]
+    n = len(bundles)
+    owned = [(item, j) for j, bundle in enumerate(bundles) for item in bundle]
     values = []
-    for row in instance.scaled_rows:
+    for row in rows:
         sums = [0] * n
         for item, j in owned:
             sums[j] += row[item]
@@ -120,7 +122,9 @@ def _value_matrix(instance: Instance, allocation: Allocation) -> list[list[int]]
 
 
 def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
-    return EnvyRatioGraph(tuple(map(tuple, _value_matrix(instance, allocation))))
+    check_allocation(instance, allocation)
+    values = _value_matrix(instance.scaled_rows, allocation.bundles)
+    return EnvyRatioGraph(tuple(map(tuple, values)))
 
 
 def _out_edges(row: Sequence[int], agent: int, floor: int) -> list[tuple[int, int]]:
@@ -304,16 +308,17 @@ def topological_order(
 
 def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[int, int]]:
     """Pairs (i, j) where i strictly prefers j's bundle to its own."""
-    return set(_mask_edges(_envy_masks(_value_matrix(instance, allocation))))
+    return set(_mask_edges(_envy_masks(build_envy_ratio_graph(instance, allocation).values)))
 
 
 def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
     """Some directed cycle of strict envy, or None if the envy graph is acyclic.
 
     Sums the allocation's bundles on the integer rows of
-    `Instance.scaled_rows` and searches that matrix with `envy_cycle_in`.
+    `Instance.scaled_rows` (`build_envy_ratio_graph`) and searches that
+    matrix with `envy_cycle_in`.
     """
-    return envy_cycle_in(_value_matrix(instance, allocation))
+    return envy_cycle_in(build_envy_ratio_graph(instance, allocation).values)
 
 
 def envy_cycle_in(values: Sequence[Sequence[Fraction | int]]) -> Cycle | None:

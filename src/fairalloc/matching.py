@@ -33,8 +33,7 @@ per agent, so nothing is summed). No `EnvyRatioGraph` is built, and the
 relaxation lists only the envy ratios that can raise a rank
 (`envy._relax_max_product`): on a matching with few envious agents it
 costs little more than their edges.
-The solvers keep the matrix of the certified matching (`_certified_matching`)
-and update it through the rest of the solve.
+The solvers' order step reads the certified matching's matrix the same way.
 
 Each repair move strictly increases the lexicographic objective (number of
 agents with positive value, then the product of those values), so the loop
@@ -237,11 +236,10 @@ def _find_pool_violation(
     return None
 
 
-def _certify_or_move(
-    instance: Instance, items: list[int], values: list[list[int]]
-) -> EnvyRanks | list[int]:
+def _certify_or_move(instance: Instance, items: list[int]) -> EnvyRanks | list[int]:
     """The certified envy ranks, or the repair loop's next item vector, from
-    the matching's value matrix `values`."""
+    the matching's value matrix (`_matching_matrix`)."""
+    values = _matching_matrix(instance, items)
     try:
         ranks, preds = _relax_max_product(values)
     except ImprovingCycleExists as found:
@@ -255,25 +253,15 @@ def _certify_or_move(
 
 def nsw_matching(instance: Instance) -> NswMatchingResult:
     """Certified one-item-per-agent allocation (see module docstring)."""
-    return _certified_matching(instance)[0]
-
-
-def _certified_matching(
-    instance: Instance,
-) -> tuple[NswMatchingResult, list[list[int]]]:
-    """`nsw_matching`'s result plus the value matrix of its matching, the
-    one the last certify-or-move step built: the solvers keep it up to date
-    from there instead of summing the bundles again."""
     n, m = instance.agent_count, instance.item_count
     if m < n:
         raise InstanceTooSmall(f"need at least {n} items, got {m}")
     items = _warm_start(instance)
     objective: Objective | None = None  # of `items`, once a move needs it
     while True:
-        values = _matching_matrix(instance, items)
-        step = _certify_or_move(instance, items, values)
+        step = _certify_or_move(instance, items)
         if isinstance(step, EnvyRanks):
-            return NswMatchingResult(_allocation(items, m), step), values
+            return NswMatchingResult(_allocation(items, m), step)
         if objective is None:
             objective = lexicographic_objective(instance, _allocation(items, m))
         after = lexicographic_objective(instance, _allocation(step, m))
@@ -287,5 +275,4 @@ def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
     if any(len(bundle) != 1 for bundle in allocation.bundles):
         raise InvalidAllocation("certificate verification needs one item per agent")
     items = [item for (item,) in allocation.bundles]
-    values = _matching_matrix(instance, items)
-    return isinstance(_certify_or_move(instance, items, values), EnvyRanks)
+    return isinstance(_certify_or_move(instance, items), EnvyRanks)

@@ -47,8 +47,6 @@ from fairalloc.algorithms import (
 from fairalloc.cli import main
 from fairalloc.envy import (
     EnvyRanks,
-    _envy_mask,
-    _value_matrix,
     strict_envy_edges,
     topological_order,
 )
@@ -185,6 +183,24 @@ class TestEnvyCycleElimination:
             n, m = instance.agent_count, instance.item_count
             final = envy_cycle_elimination(instance, Allocation.empty(n, m))
             assert final.is_complete
+
+
+class TestPublicStepsRefuseBadAllocations:
+    """`refine_step2` and `envy_cycle_elimination` check the allocation they
+    are given against the instance before they read it."""
+
+    @pytest.mark.parametrize(
+        "bundles, item_count", [([[0]], 3), ([[0], [1], [2]], 3), ([[0], [1]], 5)],
+        ids=["one bundle", "three bundles", "five items"],
+    )
+    def test_a_bad_allocation_raises(self, bundles, item_count):
+        instance = Instance.from_rows([[1, 2, 3], [3, 4, 5]])
+        allocation = Allocation.of(bundles, item_count)
+        groups = AgentGroups(EFX, g1=frozenset(), g2=frozenset({0, 1}))
+        with pytest.raises(InvalidAllocation):
+            refine_step2(instance, RefinementState(allocation, groups, (0, 1)))
+        with pytest.raises(InvalidAllocation):
+            envy_cycle_elimination(instance, allocation)
 
 
 def fraction_values(instance, allocation):
@@ -328,13 +344,16 @@ class TestCompletionAgainstReference:
 
 class TestCompletionWork:
     def test_one_cycle_search_and_one_mask_per_pick_without_rotations(self, monkeypatch):
-        """The strict-envy masks are updated in O(n) per pick, and the full
-        cycle search runs again only when a pick can have closed a cycle:
-        with no rotation in the trace that is the one search at the start."""
+        """Only completion picks through `_take`, which updates the
+        strict-envy masks in O(n) per pick, and the full cycle search runs
+        again only when a pick can have closed a cycle: with no rotation in
+        the trace that is the one search at the start. An EFR solve with
+        m = 4n makes 2n refinement picks and n source picks, so a count of
+        `_take` calls tells the two steps apart."""
         import fairalloc.algorithms as algorithms
         import fairalloc.envy as envy
 
-        counts = {"search": 0, "mask": 0}
+        counts = {"search": 0, "mask": 0, "take": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -348,23 +367,26 @@ class TestCompletionWork:
         for module in (envy, algorithms):
             monkeypatch.setattr(module, "_envy_cycle_in_masks", search)
             monkeypatch.setattr(module, "_envy_mask", mask)
-        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
-        _, trace = solve_efx(instance, check=False)
+        monkeypatch.setattr(algorithms, "_take", counted("take", algorithms._take))
+        instance = generate_instance(GenSpec(40, 160, 0, 100, Fraction(1, 10), 1))
+        _, trace = solve_efr(instance, check=False)
         refine_picks = sum(isinstance(e, Pick) for e in trace)
         source_picks = sum(isinstance(e, SourcePick) for e in trace)
         assert refine_picks > 0 and source_picks > 0
+        assert refine_picks != instance.agent_count
         assert not any(isinstance(e, CycleRotated) for e in trace)
-        # the masks are built once, for the order step, then one per pick
-        masks = instance.agent_count + refine_picks + source_picks
-        assert counts == {"search": 1, "mask": masks}
+        # n masks for the order step, n when completion starts, then one per pick
+        masks = 2 * instance.agent_count + source_picks
+        assert counts == {"search": 1, "mask": masks, "take": source_picks}
 
-    def test_one_matrix_build_per_certify_step_and_none_after_the_matching(
+    def test_one_matrix_per_certify_step_one_for_the_order_and_one_for_completion(
         self, monkeypatch
     ):
-        """The value matrix is read off the scaled rows once per
-        certify-or-move step of the matching. The order step, refinement
-        and completion read and update that matrix, so no bundle is summed
-        after the matching, and none before it either."""
+        """The matching reads its one-item matrix off the scaled rows once
+        per certify-or-move step, and the order step reads the certified
+        matching's once more. Refinement sums no bundle; completion sums its
+        matrix once, from the refined bundles, when its pool is not empty.
+        With 6 agents and 12 items refinement empties the pool."""
         import fairalloc.algorithms as algorithms
         import fairalloc.envy as envy
         import fairalloc.matching as matching
@@ -378,29 +400,38 @@ class TestCompletionWork:
 
             return wrapper
 
-        match = matching._certified_matching
+        complete = algorithms._complete
 
-        def counted_matching(*args):
-            result = match(*args)
-            counts["matrix at matching"] = counts["matrix"]
-            return result
+        def recorded(instance, bundles, pool, *rest):
+            counts["sum before completion"] = counts["sum"]
+            counts["pool"] = bool(pool)
+            return complete(instance, bundles, pool, *rest)
 
-        build, step = matching._matching_matrix, matching._certify_or_move
-        monkeypatch.setattr(matching, "_matching_matrix", counted("matrix", build))
-        monkeypatch.setattr(matching, "_certify_or_move", counted("step", step))
+        build = counted("matrix", matching._matching_matrix)
+        for module in (matching, algorithms):
+            monkeypatch.setattr(module, "_matching_matrix", build)
+        monkeypatch.setattr(
+            matching, "_certify_or_move", counted("step", matching._certify_or_move)
+        )
+        summed = counted("sum", envy._value_matrix)
         for module in (envy, algorithms):
-            monkeypatch.setattr(module, "_value_matrix", counted("sum", envy._value_matrix))
-        monkeypatch.setattr(algorithms, "_certified_matching", counted_matching)
-        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
-        for solver in (solve_efr, solve_efx):
-            counts.update({"matrix": 0, "step": 0, "sum": 0, "matrix at matching": None})
-            _, trace = solver(instance, check=False)
-            assert any(isinstance(e, (Pick, SourcePick)) for e in trace)
-            assert counts["step"] >= 1
-            assert counts == {
-                "matrix": counts["step"], "step": counts["step"], "sum": 0,
-                "matrix at matching": counts["step"],
-            }
+            monkeypatch.setattr(module, "_value_matrix", summed)
+        monkeypatch.setattr(algorithms, "_complete", recorded)
+        pools = []
+        for n, m in ((40, 120), (6, 12)):
+            instance = generate_instance(GenSpec(n, m, 0, 100, Fraction(1, 10), 3))
+            for solver in (solve_efr, solve_efx):
+                counts.update({"matrix": 0, "step": 0, "sum": 0})
+                _, trace = solver(instance, check=False)
+                assert any(isinstance(e, Pick) for e in trace)
+                assert counts["step"] >= 1
+                pools.append(counts["pool"])
+                assert counts == {
+                    "matrix": counts["step"] + 1, "step": counts["step"],
+                    "sum": int(counts["pool"]), "sum before completion": 0,
+                    "pool": counts["pool"],
+                }
+        assert True in pools and False in pools
 
     def test_the_checks_scale_each_value_once_per_instance(self, monkeypatch):
         """Each value is scaled once, when the instance is built. A checks-on
@@ -535,11 +566,11 @@ class TestCompletionWork:
         assert any(isinstance(e, SourcePick) for e in trace)  # the checks-on EFX run
 
     def test_completion_starts_from_the_refined_allocations_matrix(self, monkeypatch):
-        """The matrix, the envy masks and the pool threaded from the matching
-        through refinement equal the ones built afresh from the refined
-        bundles, and the order step's order is the one read from the
-        matching's strict-envy edges, on random p/q instances with zeros,
-        ties and a pool left over."""
+        """Completion starts from the refined bundles and their pool, and
+        the order step's order is the one read from the matching's
+        strict-envy edges, on random p/q instances with zeros, ties and a
+        pool left over. Completion sums its matrix from those bundles
+        itself."""
         import fairalloc.algorithms as algorithms
 
         starts, orders = [], []
@@ -549,10 +580,9 @@ class TestCompletionWork:
             orders.append((instance, Allocation.of(bundles, instance.item_count), order))
             return refine(instance, groups, order, bundles, *rest)
 
-        def recorded(instance, bundles, pool, values, masks, *rest):
-            allocation = Allocation.of(bundles, instance.item_count)
-            starts.append((instance, allocation, pool[:], [row[:] for row in values], masks[:]))
-            return complete(instance, bundles, pool, values, masks, *rest)
+        def recorded(instance, bundles, pool, *rest):
+            starts.append((Allocation.of(bundles, instance.item_count), pool[:]))
+            return complete(instance, bundles, pool, *rest)
 
         monkeypatch.setattr(algorithms, "_refine", recorded_refine)
         monkeypatch.setattr(algorithms, "_complete", recorded)
@@ -572,13 +602,12 @@ class TestCompletionWork:
                 ]
             )
             for solver in (solve_efr, solve_efx):
-                solver(instance, check=trial % 2 == 0)
+                _, trace = solver(instance, check=trial % 2 == 0)
+                steps = [e for e in trace if not isinstance(e, (CycleRotated, SourcePick))]
+                assert starts[-1][0] == replay_trace(steps)  # the refined allocation
         assert len(starts) == len(orders) == 200
         with_pool = 0
-        for instance, allocation, pool, values, masks in starts:
-            fresh = _value_matrix(instance, allocation)
-            assert values == fresh
-            assert masks == [_envy_mask(row, i) for i, row in enumerate(fresh)]
+        for allocation, pool in starts:
             assert pool == sorted(allocation.remaining)
             with_pool += bool(pool)
         assert with_pool > 100
@@ -798,6 +827,32 @@ class TestEdgeCaseValues:
             lexicographic_objective(instance, result.allocation)
             == oracle_nsw_matching(instance)[0]
         )
+
+
+class TestFailuresNameTheirWitness:
+    @pytest.mark.parametrize("check", [True, False])
+    def test_a_missed_guarantee_names_notion_factor_and_witness(self, monkeypatch, check):
+        """With every threshold test failing, the first check to read one
+        raises: the completion-factor check with checks on, the final check
+        with checks off. Its message names the notion, the exact factor and
+        the witness pair of the report it tested."""
+        import fairalloc.algorithms as algorithms
+
+        reports = []
+
+        def refused(report, threshold):
+            reports.append(report)
+            return False
+
+        monkeypatch.setattr(algorithms, "meets_threshold", refused)
+        instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), 1))
+        with pytest.raises(InternalGuaranteeViolated) as raised:
+            solve_efx(instance, check=check)
+        (report,) = reports
+        assert report.witness is not None
+        missed = f"efx factor {report.factor} at witness pair {report.witness} misses"
+        prefix = "completion-factor after pick: " if check else "final "
+        assert str(raised.value) == f"{prefix}{missed} the guarantee"
 
 
 class TestTraceReplay:

@@ -404,7 +404,8 @@ class TestIntegerRelaxation:
             for allocation in (random_matching, nsw_matching(instance).allocation):
                 graph = build_envy_ratio_graph(instance, allocation)
                 expected = reference_relaxation(graph)
-                assert kernel_outcome(_value_matrix(instance, allocation)) == expected
+                values = _value_matrix(instance.scaled_rows, allocation.bundles)
+                assert kernel_outcome(values) == expected
                 assert kernel_outcome(graph.values) == expected
                 found_cycle = expected[0] == "cycle"
                 seen["cycle" if found_cycle else "ranks"] += 1
@@ -434,7 +435,7 @@ class TestIntegerRelaxation:
         for seed in range(1, 9):
             instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), seed))
             allocation = nsw_matching(instance).allocation
-            values = _value_matrix(instance, allocation)
+            values = _value_matrix(instance.scaled_rows, allocation.bundles)
             listed.clear()
             ranks = _relax_max_product(values)[0]
             bound = len(strict_envy_edges(instance, allocation)) + 39 * sum(

@@ -4,7 +4,8 @@ top-level function or class goes unused.
 `__init__.py` is skipped by the import guard: its imports are the public
 re-exports. An import kept on purpose carries `# noqa: F401` on its own line,
 and the only purpose allowed is a binding that `perfbench/spans.py` wraps:
-once a span no longer binds it, the import goes.
+once a span no longer binds it, the import goes, and once the module reads
+the name itself, the mark goes.
 """
 
 import ast
@@ -52,6 +53,41 @@ def test_the_guard_flags_only_unused_names():
         "np.zeros(gcd(4, 6))\n"
     )
     assert unused_imports(source) == ["os (line 2)", "log (line 7)"]
+
+
+def stale_noqa_imports(source: str) -> list[str]:
+    """Imports marked `# noqa: F401` whose name the module reads as a plain
+    name, as 'name (line n)': the mark no longer keeps anything."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{alias.asname or alias.name.split('.')[0]} (line {alias.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+        and (alias.asname or alias.name.split(".")[0]) in used
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_stale_noqa_imports(path):
+    assert stale_noqa_imports(path.read_text()) == []
+
+
+def test_the_stale_noqa_guard_flags_only_marked_names_read_as_names():
+    source = (
+        "import os  # noqa: F401\n"
+        "import numpy as np  # noqa: F401 -- read below\n"
+        "from math import (\n"
+        "    gcd,  # noqa: F401 -- read below\n"
+        "    lcm,  # noqa: F401 -- only an attribute of the same name is read\n"
+        "    log,\n"
+        ")\n"
+        "np.zeros(gcd(4, 6)) + log(2) + np.lcm\n"
+    )
+    assert stale_noqa_imports(source) == ["np (line 2)", "gcd (line 4)"]
 
 
 def unbound_noqa_imports(

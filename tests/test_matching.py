@@ -488,7 +488,7 @@ class TestPoolViolation:
                     ranks.append(Fraction(rng.randint(4, 12), 4))
             ranks = EnvyRanks(tuple(ranks))
             expected = reference_pool_violation(instance, allocation, ranks)
-            values = _value_matrix(instance, allocation)
+            values = _value_matrix(instance.scaled_rows, allocation.bundles)
             items = [item for (item,) in bundles]
             assert _find_pool_violation(instance, items, values, ranks) == expected
             found += expected is not None
@@ -504,7 +504,7 @@ class TestPoolViolation:
         instance = Instance.from_rows([[4, 10, 2, 3], [1, 5, 1, 1]])
         allocation = Allocation.of([[0], [1]], 4)
         ranks = EnvyRanks((rank, Fraction(1)))
-        values = _value_matrix(instance, allocation)
+        values = _value_matrix(instance.scaled_rows, allocation.bundles)
         assert reference_pool_violation(instance, allocation, ranks) == expected
         assert _find_pool_violation(instance, [0, 1], values, ranks) == expected
 
@@ -524,7 +524,7 @@ class TestMatchingMatrix:
             steps += 1
             values = build(instance, items)
             allocation = Allocation.of([[item] for item in items], instance.item_count)
-            assert values == _value_matrix(instance, allocation)
+            assert values == _value_matrix(instance.scaled_rows, allocation.bundles)
             return values
 
         monkeypatch.setattr(matching, "_matching_matrix", compared)
