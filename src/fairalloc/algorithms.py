@@ -20,9 +20,11 @@ left. The two modes differ only in constants, held in one table, `MODES`:
 Every comparison against one of these constants, irrational or not, goes
 through `model.compare_scaled`, which decides it exactly in integers.
 
-Refinement and completion carry the bundles as item lists and the pool as
-a sorted list. An `Allocation`, validated by `Allocation.of`, is built only
-where one is read: by a check when checks are on, and as the result.
+`_solve` calls the public steps by their module-global names:
+`nsw_matching`, `topological_order` over `strict_envy_edges`,
+`refine_step2` and `envy_cycle_elimination`. Only an `Allocation`,
+validated by `Allocation.of`, passes between them; inside a step the
+bundles are item lists and the pool a sorted list.
 
 Every run produces a trace: the recorded matching followed by each pick and
 rotation (replaying those reproduces the output allocation exactly) plus
@@ -43,15 +45,15 @@ from .envy import (
     _envy_cycle_in_masks,
     _envy_mask,
     _envy_masks,
-    _mask_edges,
     _on_cycle,
     _value_matrix,
     find_envy_cycle,  # noqa: F401 -- perfbench/spans.py times this binding
     rotate_bundles,
+    strict_envy_edges,
     topological_order,
 )
 from .errors import InfiniteRank, InternalGuaranteeViolated
-from .matching import _matching_matrix, nsw_matching, verify_nsw_certificate
+from .matching import nsw_matching, verify_nsw_certificate
 from .model import (
     Allocation,
     FairnessNotion,
@@ -107,7 +109,7 @@ def _mode_spec(mode: FairnessNotion) -> ModeSpec:
     try:
         return MODES[mode]
     except KeyError:
-        raise ValueError("grouping is defined for the EFR and EFX modes only") from None
+        raise ValueError("the solver modes are EFR and EFX only") from None
 
 
 @dataclass(frozen=True)
@@ -276,25 +278,18 @@ def refine_step2(
     topological order. EFR mode: the bottom group picks its best remaining
     item twice (two full passes), then the middle group picks once. EFX
     mode: the bottom group picks once. Agents whose turn finds an empty
-    pool are skipped.
+    pool are skipped. A pick (`_pick`) reads only the picker's row of
+    `Instance.scaled_rows` and the pool, never the envy graph. The order
+    must be a permutation of the agents and every group member an agent.
     """
     check_allocation(instance, state.allocation)
+    groups, order, agents = state.groups, state.order, range(instance.agent_count)
+    if sorted(order) != list(agents):
+        raise ValueError(f"the pick order {order} is not a permutation of the agents")
+    if not frozenset().union(*groups.members) <= set(agents):
+        raise ValueError("a group names an agent outside the instance")
+    trace = [] if trace is None else trace
     bundles, pool = _bundle_lists(state.allocation)
-    _refine(instance, state.groups, state.order, bundles, pool, [] if trace is None else trace)
-    return RefinementState(Allocation.of(bundles, instance.item_count), state.groups, state.order)
-
-
-def _refine(
-    instance: Instance,
-    groups: AgentGroups,
-    order: tuple[int, ...],
-    bundles: list[list[int]],
-    pool: list[int],
-    trace: Trace,
-) -> None:
-    """`refine_step2` in place on `bundles` and `pool`. A pick (`_pick`)
-    reads only the picker's row of `Instance.scaled_rows` and the pool:
-    no refinement decision reads the envy graph."""
     rows = instance.scaled_rows
     for label, group in MODES[groups.mode].passes:
         for agent in order:
@@ -304,10 +299,15 @@ def _refine(
                 item = _pick(rows[agent], pool)
                 bundles[agent].append(item)
                 trace.append(Pick(agent, item, label))
+    return RefinementState(Allocation.of(bundles, instance.item_count), groups, order)
 
 
 def envy_cycle_elimination(
-    instance: Instance, allocation: Allocation, trace: Trace | None = None
+    instance: Instance,
+    allocation: Allocation,
+    trace: Trace | None = None,
+    *,
+    mode: FairnessNotion | None = None,
 ) -> Allocation:
     """Complete the allocation with the classic envy-graph procedure.
 
@@ -320,9 +320,10 @@ def envy_cycle_elimination(
     on the rows of `Instance.scaled_rows`, and its strict-envy edges from
     one bitmask per agent, bit j of masks[i] set iff values[i][j] >
     values[i][i]. Both are built once, from the bundles, when the pool is
-    not empty (`_complete`). The procedure only ever compares entries of one
-    row with each other (values[i][j] > values[i][i], and the source's best
-    pool item), so each row's own scale cancels.
+    not empty; on an empty pool the allocation is returned as it is. The
+    procedure only ever compares entries of one row with each other
+    (values[i][j] > values[i][i], and the source's best pool item), so each
+    row's own scale cancels.
 
     A pick (`_take`) updates the matrix and the masks in O(n). A rotation
     permutes the cycle's columns as `rotate_bundles` moves its bundles and
@@ -332,34 +333,24 @@ def envy_cycle_elimination(
     through the source. The cycle search therefore runs after a pick only
     when the source is now envied and reaches itself along the masks;
     anywhere else it would return None.
+
+    With `mode` set (EFR or EFX), the exact checker re-verifies the mode's
+    threshold factor on its own integer view of the instance after every
+    rotation and every pick, as a `completion-factor` check, so a wrong
+    matrix or mask update cannot certify itself.
     """
+    threshold = None if mode is None else _mode_spec(mode).threshold
     check_allocation(instance, allocation)
+    trace = [] if trace is None else trace
     bundles, pool = _bundle_lists(allocation)
-    _complete(instance, bundles, pool, [] if trace is None else trace, None)
-    return Allocation.of(bundles, instance.item_count)
-
-
-def _complete(
-    instance: Instance,
-    bundles: list[list[int]],
-    pool: list[int],
-    trace: Trace,
-    mode: FairnessNotion | None,
-) -> None:
-    """`envy_cycle_elimination` in place on the bundle lists and the sorted
-    pool. On an empty pool it returns at once; otherwise it sums the value
-    matrix from the bundles and builds the envy masks. With `mode` set, the
-    mode's threshold factor is re-verified by the exact checker on its own
-    integer view of the instance after every rotation and every pick, so a
-    wrong matrix or mask update cannot certify itself."""
     if not pool:
-        return
+        return allocation
 
     def check_running(tag: str) -> None:
         if mode is None:
             return
         report = fairness_factor(instance, Allocation.of(bundles, instance.item_count), mode)
-        passed = meets_threshold(report, MODES[mode].threshold)
+        passed = meets_threshold(report, threshold)
         trace.append(InvariantChecked("completion-factor", passed))
         if not passed:
             raise InternalGuaranteeViolated(f"completion-factor after {tag}: {_missed(report)}")
@@ -385,6 +376,7 @@ def _complete(
         bundles[source].append(item)
         trace.append(SourcePick(source, item))
         check_running("pick")
+    return Allocation.of(bundles, instance.item_count)
 
 
 # --- Mid-run invariant checks ------------------------------------------------
@@ -474,20 +466,17 @@ def _solve(
 
     groups = _partition_groups(result.ranks, mode)
     trace.append(GroupsAssigned(groups))
+    order = topological_order(
+        instance.agent_count, strict_envy_edges(instance, result.allocation)
+    )
 
-    # Each step builds what it reads: the order step the matched items' matrix,
-    # refinement the picker's row and the pool, completion a matrix of its own
-    bundles, pool = _bundle_lists(result.allocation)
-    masks = _envy_masks(_matching_matrix(instance, [item for (item,) in bundles]))
-    order = topological_order(instance.agent_count, _mask_edges(masks))
-
-    _refine(instance, groups, order, bundles, pool, trace)
+    state = refine_step2(instance, RefinementState(result.allocation, groups, order), trace)
     if check:
-        state = RefinementState(Allocation.of(bundles, instance.item_count), groups, order)
         _check_refined(instance, state, trace)
 
-    _complete(instance, bundles, pool, trace, mode if check else None)
-    allocation = Allocation.of(bundles, instance.item_count)
+    allocation = envy_cycle_elimination(
+        instance, state.allocation, trace, mode=mode if check else None
+    )
 
     report = fairness_factor(instance, allocation, mode)
     if not meets_threshold(report, threshold):

@@ -22,12 +22,12 @@ it is never listed, and an agent still at the all-ones baseline lists only
 its edges of weight > 1, the only ones that can raise a rank from there: a
 pass costs the strict-envy edges plus the out-edges of the agents whose
 rank ends above 1, not all n(n-1) ratios. `_value_matrix` is the one place
-a matrix is summed from bundles, for the graph queries and for completion;
+a matrix is summed from bundles, for the public queries and for completion;
 the matching reads its one-item matrices off the matched items' entries.
 
 The strict-envy graph is one Python int per agent: bit j of masks[i] is set
 iff values[i][j] > values[i][i] (`_envy_masks`). The solvers' order step
-reads its edges off the matching's masks (`_mask_edges`); completion builds
+reads the matching's edges through `strict_envy_edges`; completion builds
 masks from the matrix it sums and keeps them up to date. There is one
 strict-envy cycle search, `_envy_cycle_in_masks`, a depth-first search.
 Completion searches again after a pick only when `_on_cycle` finds the
@@ -121,10 +121,14 @@ def _value_matrix(
     return values
 
 
-def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
+def _checked_values(instance: Instance, allocation: Allocation) -> list[list[int]]:
+    """`_value_matrix` of a checked allocation on `Instance.scaled_rows`."""
     check_allocation(instance, allocation)
-    values = _value_matrix(instance.scaled_rows, allocation.bundles)
-    return EnvyRatioGraph(tuple(map(tuple, values)))
+    return _value_matrix(instance.scaled_rows, allocation.bundles)
+
+
+def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
+    return EnvyRatioGraph(tuple(map(tuple, _checked_values(instance, allocation))))
 
 
 def _out_edges(row: Sequence[int], agent: int, floor: int) -> list[tuple[int, int]]:
@@ -307,18 +311,19 @@ def topological_order(
 
 
 def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[int, int]]:
-    """Pairs (i, j) where i strictly prefers j's bundle to its own."""
-    return set(_mask_edges(_envy_masks(build_envy_ratio_graph(instance, allocation).values)))
+    """Pairs (i, j) where i strictly prefers j's bundle to its own, read off
+    the envy masks of the allocation's value matrix (`_checked_values`)."""
+    return set(_mask_edges(_envy_masks(_checked_values(instance, allocation))))
 
 
 def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
     """Some directed cycle of strict envy, or None if the envy graph is acyclic.
 
     Sums the allocation's bundles on the integer rows of
-    `Instance.scaled_rows` (`build_envy_ratio_graph`) and searches that
-    matrix with `envy_cycle_in`.
+    `Instance.scaled_rows` (`_checked_values`) and searches that matrix
+    with `envy_cycle_in`.
     """
-    return envy_cycle_in(build_envy_ratio_graph(instance, allocation).values)
+    return envy_cycle_in(_checked_values(instance, allocation))
 
 
 def envy_cycle_in(values: Sequence[Sequence[Fraction | int]]) -> Cycle | None:

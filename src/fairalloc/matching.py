@@ -33,7 +33,8 @@ per agent, so nothing is summed). No `EnvyRatioGraph` is built, and the
 relaxation lists only the envy ratios that can raise a rank
 (`envy._relax_max_product`): on a matching with few envious agents it
 costs little more than their edges.
-The solvers' order step reads the certified matching's matrix the same way.
+The solvers' order step reads the certified matching's strict-envy edges
+through `envy.strict_envy_edges`, which sums the one-item bundles.
 
 Each repair move strictly increases the lexicographic objective (number of
 agents with positive value, then the product of those values), so the loop

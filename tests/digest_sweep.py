@@ -26,6 +26,12 @@ make the repair loop move, which the families above hardly do: integer
 rows of 10^17 + r (r in 0-3), whose logs the warm start cannot rank; the
 same rows with 30% of their values set to 0; and the same values over
 denominators drawn from 1-3.
+
+The "types" family makes completion rotate, which none of the families
+above does: k prototype rows with values in 1-100 (k = 2 for even seeds,
+3 for odd ones), and agent i's row is 3 * prototype[i mod k] + r with r in
+0-2, at n = 20, 30 and 40, m = 5n and 10n, seeds 0-31. Its 384 solves
+with checks off make 726 bundle rotations.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ SOLVERS = (("efr", solve_efr), ("efx", solve_efx))
 RATIONAL_SIZES = {"pq": (10, 40), "big-sevenths": (5, 10)}
 JITTER_SIZES = range(2, 9)
 JITTER_SEEDS = range(8)
+TYPES_SIZES = (20, 30, 40)
+TYPES_ITEMS_PER_AGENT = (5, 10)
+TYPES_SEEDS = range(32)
 
 
 def rational_value(family: str, rng: random.Random) -> Fraction:
@@ -68,6 +77,15 @@ def jitter_families(n: int, s: int):
     yield "jitter-zeros", [[0 if zeros.random() < 0.3 else v for v in row] for row in rows]
     qs = random.Random(f"jitter-pq/{n}/{s}")
     yield "jitter-pq", [[Fraction(v, qs.randint(1, 3)) for v in row] for row in rows]
+
+
+def types_rows(n: int, m: int, s: int) -> list[list[int]]:
+    """Rows of the "types" family: agents of one type share a prototype row
+    up to a small integer noise."""
+    rng = random.Random(f"types/{n}/{m}/{s}")
+    k = 2 + s % 2
+    prototypes = [[rng.randint(1, 100) for _ in range(m)] for _ in range(k)]
+    return [[3 * v + rng.randint(0, 2) for v in prototypes[i % k]] for i in range(n)]
 
 
 def solve_digest(allocation, trace) -> str:
@@ -101,6 +119,11 @@ def families():
         for s in JITTER_SEEDS:
             for family, rows in jitter_families(n, s):
                 yield f"{family}-{n}", s, Instance.from_rows(rows)
+    for n in TYPES_SIZES:
+        for per_agent in TYPES_ITEMS_PER_AGENT:
+            for s in TYPES_SEEDS:
+                rows = types_rows(n, per_agent * n, s)
+                yield f"types-{n}x{per_agent * n}", s, Instance.from_rows(rows)
 
 
 def main() -> None:

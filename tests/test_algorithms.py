@@ -166,6 +166,21 @@ class TestRefineStep2:
         picks = [e.item for e in trace if isinstance(e, Pick)]
         assert picks == [1]
 
+    @pytest.mark.parametrize(
+        "g2, order",
+        [({1}, (1, 1)), ({1}, (0,)), ({1}, (0, 1, 2)), ({1}, (0, 5)), ({1, 5}, (0, 1))],
+        ids=["an agent twice", "an agent left out", "a third agent", "order entry 5",
+             "group member 5"],
+    )
+    def test_a_malformed_state_raises(self, g2, order):
+        """The pick order is a permutation of the agents and every group
+        member is an agent."""
+        instance = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
+        groups = AgentGroups(EFX, g1=frozenset(), g2=frozenset(g2))
+        state = RefinementState(Allocation.of([[0], [1]], 4), groups, order)
+        with pytest.raises(ValueError):
+            refine_step2(instance, state)
+
 
 class TestEnvyCycleElimination:
     def test_empty_pool_returns_input(self, two_by_five):
@@ -177,6 +192,24 @@ class TestEnvyCycleElimination:
         final = envy_cycle_elimination(instance, Allocation.of([[0], [1]], 3))
         # bundles swap, making both agents unenvied; agent 0 picks the leftover
         assert final == Allocation.of([[1, 2], [0]], 3)
+
+    def test_mode_checks_each_rotation_and_pick(self):
+        """With `mode` set, each rotation and each pick is followed by one
+        `completion-factor` check; the allocation is the same as without."""
+        instance = Instance.from_rows([[1, 5, 2], [5, 1, 2]])
+        start = Allocation.of([[0], [1]], 3)
+        plain, checked = [], []
+        final = envy_cycle_elimination(instance, start, plain)
+        assert envy_cycle_elimination(instance, start, checked, mode=EFX) == final
+        assert [type(e) for e in plain] == [CycleRotated, SourcePick]
+        check = InvariantChecked("completion-factor", True)
+        assert checked == [plain[0], check, plain[1], check]
+
+    @pytest.mark.parametrize("bundles", [[[0], [1]], [[0, 2], [1]]], ids=["pool", "no pool"])
+    def test_a_mode_outside_the_table_raises(self, bundles):
+        instance = Instance.from_rows([[1, 5, 2], [5, 1, 2]])
+        with pytest.raises(ValueError):
+            envy_cycle_elimination(instance, Allocation.of(bundles, 3), mode=FairnessNotion.EF)
 
     def test_completes_any_partial_allocation(self):
         for _, instance in random_instances(40, (2, 5), (2, 9), 0, 40, (Fraction(0),), seed=77):
@@ -383,10 +416,11 @@ class TestCompletionWork:
         self, monkeypatch
     ):
         """The matching reads its one-item matrix off the scaled rows once
-        per certify-or-move step, and the order step reads the certified
-        matching's once more. Refinement sums no bundle; completion sums its
-        matrix once, from the refined bundles, when its pool is not empty.
-        With 6 agents and 12 items refinement empties the pool."""
+        per certify-or-move step. The order step sums the certified
+        matching's matrix once (`strict_envy_edges`). Refinement sums no
+        bundle; completion sums its matrix once, from the refined bundles,
+        when its pool is not empty. With 6 agents and 12 items refinement
+        empties the pool."""
         import fairalloc.algorithms as algorithms
         import fairalloc.envy as envy
         import fairalloc.matching as matching
@@ -400,23 +434,22 @@ class TestCompletionWork:
 
             return wrapper
 
-        complete = algorithms._complete
+        complete = algorithms.envy_cycle_elimination
 
-        def recorded(instance, bundles, pool, *rest):
+        def recorded(instance, allocation, *rest, **kwargs):
             counts["sum before completion"] = counts["sum"]
-            counts["pool"] = bool(pool)
-            return complete(instance, bundles, pool, *rest)
+            counts["pool"] = bool(allocation.remaining)
+            return complete(instance, allocation, *rest, **kwargs)
 
         build = counted("matrix", matching._matching_matrix)
-        for module in (matching, algorithms):
-            monkeypatch.setattr(module, "_matching_matrix", build)
+        monkeypatch.setattr(matching, "_matching_matrix", build)
         monkeypatch.setattr(
             matching, "_certify_or_move", counted("step", matching._certify_or_move)
         )
         summed = counted("sum", envy._value_matrix)
         for module in (envy, algorithms):
             monkeypatch.setattr(module, "_value_matrix", summed)
-        monkeypatch.setattr(algorithms, "_complete", recorded)
+        monkeypatch.setattr(algorithms, "envy_cycle_elimination", recorded)
         pools = []
         for n, m in ((40, 120), (6, 12)):
             instance = generate_instance(GenSpec(n, m, 0, 100, Fraction(1, 10), 3))
@@ -427,8 +460,8 @@ class TestCompletionWork:
                 assert counts["step"] >= 1
                 pools.append(counts["pool"])
                 assert counts == {
-                    "matrix": counts["step"] + 1, "step": counts["step"],
-                    "sum": int(counts["pool"]), "sum before completion": 0,
+                    "matrix": counts["step"], "step": counts["step"],
+                    "sum": 1 + counts["pool"], "sum before completion": 1,
                     "pool": counts["pool"],
                 }
         assert True in pools and False in pools
@@ -538,8 +571,8 @@ class TestCompletionWork:
     def test_the_pick_steps_build_no_allocation(self, monkeypatch):
         """Refinement and completion carry the bundles as lists, so no pick
         calls `Allocation.with_item`. An `Allocation` is built only where
-        one is read: the warm start, each repair move, and with checks on
-        the refined allocation and one per running check, then the result."""
+        one is read: the warm start, each repair move, refinement's result,
+        one per running check with checks on, then the result."""
         built = 0
         post_init = Allocation.__post_init__
 
@@ -566,26 +599,26 @@ class TestCompletionWork:
         assert any(isinstance(e, SourcePick) for e in trace)  # the checks-on EFX run
 
     def test_completion_starts_from_the_refined_allocations_matrix(self, monkeypatch):
-        """Completion starts from the refined bundles and their pool, and
-        the order step's order is the one read from the matching's
-        strict-envy edges, on random p/q instances with zeros, ties and a
-        pool left over. Completion sums its matrix from those bundles
-        itself."""
+        """`_solve` runs the public steps: completion starts from the
+        refined allocation, and refinement from the matching, in the order
+        read from the matching's strict-envy edges, on random p/q instances
+        with zeros, ties and a pool left over. Completion sums its matrix
+        from the refined bundles itself."""
         import fairalloc.algorithms as algorithms
 
         starts, orders = [], []
-        refine, complete = algorithms._refine, algorithms._complete
+        refine, complete = algorithms.refine_step2, algorithms.envy_cycle_elimination
 
-        def recorded_refine(instance, groups, order, bundles, *rest):
-            orders.append((instance, Allocation.of(bundles, instance.item_count), order))
-            return refine(instance, groups, order, bundles, *rest)
+        def recorded_refine(instance, state, *rest):
+            orders.append((instance, state.allocation, state.order))
+            return refine(instance, state, *rest)
 
-        def recorded(instance, bundles, pool, *rest):
-            starts.append((Allocation.of(bundles, instance.item_count), pool[:]))
-            return complete(instance, bundles, pool, *rest)
+        def recorded(instance, allocation, *rest, **kwargs):
+            starts.append(allocation)
+            return complete(instance, allocation, *rest, **kwargs)
 
-        monkeypatch.setattr(algorithms, "_refine", recorded_refine)
-        monkeypatch.setattr(algorithms, "_complete", recorded)
+        monkeypatch.setattr(algorithms, "refine_step2", recorded_refine)
+        monkeypatch.setattr(algorithms, "envy_cycle_elimination", recorded)
         rng = random.Random(1019)
         for trial in range(100):
             n = rng.randint(2, 10)
@@ -604,13 +637,9 @@ class TestCompletionWork:
             for solver in (solve_efr, solve_efx):
                 _, trace = solver(instance, check=trial % 2 == 0)
                 steps = [e for e in trace if not isinstance(e, (CycleRotated, SourcePick))]
-                assert starts[-1][0] == replay_trace(steps)  # the refined allocation
+                assert starts[-1] == replay_trace(steps)  # the refined allocation
         assert len(starts) == len(orders) == 200
-        with_pool = 0
-        for allocation, pool in starts:
-            assert pool == sorted(allocation.remaining)
-            with_pool += bool(pool)
-        assert with_pool > 100
+        assert sum(bool(allocation.remaining) for allocation in starts) > 100
         with_edges = 0
         for instance, matched, order in orders:
             edges = strict_envy_edges(instance, matched)

@@ -5,7 +5,9 @@ its recorded inputs must keep coming out of the seeded generator.
 of `fairalloc`; a metric none of whose names exists reads `absent`. This
 pins every span and count to at least one name that resolves, which is
 why, for example, `algorithms` still imports `find_envy_cycle` after
-completion stopped calling it.
+completion stopped calling it. A solve must also call through the names a
+span wraps: a binding that resolves but that the pipeline no longer calls
+reads 0.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from fairalloc import algorithms
 from fairalloc.files import GenSpec, generate_instance, random_instances
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,6 +45,23 @@ def test_every_metric_binds_to_a_fairalloc_name(name):
         if getattr(importlib.import_module(f"fairalloc.{module}"), attr, None) is not None
     ]
     assert resolved, f"no binding of {name} resolves in fairalloc"
+
+
+def test_a_solve_feeds_every_pipeline_span():
+    """A checks-on EFX solve whose refinement leaves a pool calls every
+    span's binding, except `envy.find_envy_cycle`: completion searches its
+    own incremental masks."""
+    instance = generate_instance(GenSpec(6, 18, 0, 100, Fraction(1, 10), 3))
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        _, trace = algorithms.solve_efx(instance, check=True)
+    assert any(isinstance(e, algorithms.SourcePick) for e in trace)
+    silent = [
+        name
+        for name in SPANS.SPAN_TARGETS
+        if name != "envy.find_envy_cycle" and tracer.calls[name] == 0
+    ]
+    assert silent == []
 
 
 def recorded_input_digests(workload: str) -> list[str]:
