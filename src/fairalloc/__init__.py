@@ -13,7 +13,6 @@ from .algorithms import (
     InvariantChecked,
     MatchingDone,
     Pick,
-    RefinementState,
     SourcePick,
     Trace,
     TraceEvent,

@@ -221,16 +221,6 @@ def replay_trace(trace: Trace) -> Allocation:
     return allocation
 
 
-@dataclass(frozen=True)
-class RefinementState:
-    """What the refinement step threads through: the running allocation,
-    the rank groups, and the fixed topological pick order."""
-
-    allocation: Allocation
-    groups: AgentGroups
-    order: tuple[int, ...]
-
-
 def _pick(row: list[int], pool: list[int]) -> int:
     """Pop the sorted `pool`'s first best item for `row`: one `itemgetter`
     pass over the pool, then the first maximum's index (the smallest item)."""
@@ -250,7 +240,7 @@ def _take(
     grows, so another agent can only gain bit `agent` and only the agent's
     own mask is recomputed: O(n). Returns the item and whether anyone now
     envies the agent."""
-    rows = instance.scaled_rows
+    rows = instance.rows
     item = _pick(rows[agent], pool)
     bit = 1 << agent
     envied = False
@@ -270,27 +260,32 @@ def _bundle_lists(allocation: Allocation) -> tuple[list[list[int]], list[int]]:
 
 
 def refine_step2(
-    instance: Instance, state: RefinementState, trace: Trace | None = None
-) -> RefinementState:
+    instance: Instance,
+    allocation: Allocation,
+    groups: AgentGroups,
+    order: tuple[int, ...],
+    trace: Trace | None = None,
+) -> Allocation:
     """Let the low-rank groups extend their bundles from the pool.
 
     The mode's passes run in table order, each one pick per member in
-    topological order. EFR mode: the bottom group picks its best remaining
-    item twice (two full passes), then the middle group picks once. EFX
-    mode: the bottom group picks once. Agents whose turn finds an empty
-    pool are skipped. A pick (`_pick`) reads only the picker's row of
-    `Instance.scaled_rows` and the pool, never the envy graph. The order
-    must be a permutation of the agents and every group member an agent.
+    `order`, the topological envy order of the matching. EFR mode: the
+    bottom group picks its best remaining item twice (two full passes),
+    then the middle group picks once. EFX mode: the bottom group picks
+    once. Agents whose turn finds an empty pool are skipped. A pick
+    (`_pick`) reads only the picker's row of `Instance.rows` and the pool,
+    never the envy graph. The order must be a permutation of the agents and
+    every group member an agent.
     """
-    check_allocation(instance, state.allocation)
-    groups, order, agents = state.groups, state.order, range(instance.agent_count)
+    check_allocation(instance, allocation)
+    agents = range(instance.agent_count)
     if sorted(order) != list(agents):
         raise ValueError(f"the pick order {order} is not a permutation of the agents")
     if not frozenset().union(*groups.members) <= set(agents):
         raise ValueError("a group names an agent outside the instance")
     trace = [] if trace is None else trace
-    bundles, pool = _bundle_lists(state.allocation)
-    rows = instance.scaled_rows
+    bundles, pool = _bundle_lists(allocation)
+    rows = instance.rows
     for label, group in MODES[groups.mode].passes:
         for agent in order:
             if not pool:
@@ -299,7 +294,7 @@ def refine_step2(
                 item = _pick(rows[agent], pool)
                 bundles[agent].append(item)
                 trace.append(Pick(agent, item, label))
-    return RefinementState(Allocation.of(bundles, instance.item_count), groups, order)
+    return Allocation.of(bundles, instance.item_count)
 
 
 def envy_cycle_elimination(
@@ -317,13 +312,13 @@ def envy_cycle_elimination(
     remaining item, smallest index on ties.
 
     The envy graph is read from one integer matrix values[i][j] = v_i(B_j)
-    on the rows of `Instance.scaled_rows`, and its strict-envy edges from
-    one bitmask per agent, bit j of masks[i] set iff values[i][j] >
-    values[i][i]. Both are built once, from the bundles, when the pool is
-    not empty; on an empty pool the allocation is returned as it is. The
-    procedure only ever compares entries of one row with each other
-    (values[i][j] > values[i][i], and the source's best pool item), so each
-    row's own scale cancels.
+    on `Instance.rows`, and its strict-envy edges from one bitmask per
+    agent, bit j of masks[i] set iff values[i][j] > values[i][i]. Both are
+    built once, from the bundles, when the pool is not empty; on an empty
+    pool the allocation is returned as it is. The procedure only ever
+    compares entries of one row with each other (values[i][j] >
+    values[i][i], and the source's best pool item), so each row's own scale
+    cancels.
 
     A pick (`_take`) updates the matrix and the masks in O(n). A rotation
     permutes the cycle's columns as `rotate_bundles` moves its bundles and
@@ -355,7 +350,7 @@ def envy_cycle_elimination(
         if not passed:
             raise InternalGuaranteeViolated(f"completion-factor after {tag}: {_missed(report)}")
 
-    values = _value_matrix(instance.scaled_rows, bundles)
+    values = _value_matrix(instance.rows, bundles)
     masks = _envy_masks(values)
     search = True  # the starting allocation may hold cycles
     while pool:
@@ -394,7 +389,9 @@ def _check(trace: Trace, name: str, passed: bool) -> None:
         raise InternalGuaranteeViolated(name)
 
 
-def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> None:
+def _check_refined(
+    instance: Instance, allocation: Allocation, groups: AgentGroups, trace: Trace
+) -> None:
     """Exact per-group guarantees at the end of the refinement step.
 
     A group's factor f holds when own >= f * D_ij against every rival,
@@ -409,7 +406,6 @@ def _check_refined(instance: Instance, state: RefinementState, trace: Trace) -> 
     (`tolist`, which measured faster than indexing the object array): both
     come from one row, so the row's scale cancels.
     """
-    allocation, groups = state.allocation, state.groups
     mode, spec = groups.mode, MODES[groups.mode]
     group_of = {i: k for k, members in enumerate(groups.members) for i in members}
     held = [True] * len(spec.factors)
@@ -470,13 +466,11 @@ def _solve(
         instance.agent_count, strict_envy_edges(instance, result.allocation)
     )
 
-    state = refine_step2(instance, RefinementState(result.allocation, groups, order), trace)
+    refined = refine_step2(instance, result.allocation, groups, order, trace)
     if check:
-        _check_refined(instance, state, trace)
+        _check_refined(instance, refined, groups, trace)
 
-    allocation = envy_cycle_elimination(
-        instance, state.allocation, trace, mode=mode if check else None
-    )
+    allocation = envy_cycle_elimination(instance, refined, trace, mode=mode if check else None)
 
     report = fairness_factor(instance, allocation, mode)
     if not meets_threshold(report, threshold):

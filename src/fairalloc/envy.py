@@ -4,9 +4,9 @@ The envy-ratio graph of an allocation is the complete weighted digraph with
 w[i][j] = v_i(bundle_j) / v_i(bundle_i). Agents with zero own-bundle value
 get w = inf toward bundles they value positively and w = 0 otherwise, which
 keeps every downstream comparison total. Diagonal entries are not defined.
-Bundle values are summed on `Instance.scaled_rows`, exact integers with one
-positive factor per agent: every question asked here (a ratio, strict envy)
-compares values of one agent with each other, so the factor cancels.
+Bundle values are summed on `Instance.rows`, exact integers with one
+positive scale per agent: every question asked here (a ratio, strict envy)
+compares values of one agent with each other, so the scale cancels.
 
 The one max-product relaxation behind improving cycles, envy ranks and
 rank-attaining paths reads the integer value matrix values[i][j] = v_i(B_j)
@@ -59,7 +59,7 @@ Cycle = tuple[int, ...]
 @dataclass(frozen=True)
 class EnvyRatioGraph:
     """Pairwise envy ratios for one (instance, allocation) pair, read from
-    its value matrix values[i][j] = v_i(B_j) on `Instance.scaled_rows`."""
+    its value matrix values[i][j] = v_i(B_j) on `Instance.rows`."""
 
     values: tuple[tuple[int, ...], ...]
 
@@ -122,9 +122,9 @@ def _value_matrix(
 
 
 def _checked_values(instance: Instance, allocation: Allocation) -> list[list[int]]:
-    """`_value_matrix` of a checked allocation on `Instance.scaled_rows`."""
+    """`_value_matrix` of a checked allocation on `Instance.rows`."""
     check_allocation(instance, allocation)
-    return _value_matrix(instance.scaled_rows, allocation.bundles)
+    return _value_matrix(instance.rows, allocation.bundles)
 
 
 def build_envy_ratio_graph(instance: Instance, allocation: Allocation) -> EnvyRatioGraph:
@@ -272,8 +272,11 @@ def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
     """A simple path attaining the agent's envy rank, ending at the agent.
 
     Returns [agent] alone when the empty path is maximal. Raises
-    ImprovingCycleExists on graphs where ranks are undefined.
+    ValueError for an agent outside range(n), and ImprovingCycleExists on
+    graphs where ranks are undefined.
     """
+    if not 0 <= agent < graph.agent_count:
+        raise ValueError(f"agent {agent} is outside range({graph.agent_count})")
     preds = _relax_max_product(graph.values)[1]
     return _predecessor_path(preds, agent)
 
@@ -319,22 +322,11 @@ def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[i
 def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
     """Some directed cycle of strict envy, or None if the envy graph is acyclic.
 
-    Sums the allocation's bundles on the integer rows of
-    `Instance.scaled_rows` (`_checked_values`) and searches that matrix
-    with `envy_cycle_in`.
+    Sums the allocation's bundles on `Instance.rows` (`_checked_values`),
+    turns the matrix into one envy mask per agent (`_envy_masks`) and
+    searches those with `_envy_cycle_in_masks`.
     """
-    return envy_cycle_in(_checked_values(instance, allocation))
-
-
-def envy_cycle_in(values: Sequence[Sequence[Fraction | int]]) -> Cycle | None:
-    """The strict-envy cycle search on a value matrix values[i][j] = v_i(B_j).
-
-    Agent i envies j when values[i][j] > values[i][i]. A row is only ever
-    compared within itself, so each row may be scaled by its own positive
-    factor. The matrix becomes one envy mask per agent (`_envy_masks`) and
-    `_envy_cycle_in_masks` searches those.
-    """
-    return _envy_cycle_in_masks(_envy_masks(values))
+    return _envy_cycle_in_masks(_envy_masks(_checked_values(instance, allocation)))
 
 
 def _envy_masks(values: Sequence[Sequence[Fraction | int]]) -> list[int]:

@@ -334,7 +334,11 @@ class GenSpec:
             raise ValueError("need at least one agent and one item")
         if not 0 <= self.low <= self.high:
             raise ValueError("need 0 <= low <= high")
-        if not 0 <= self.zero_probability <= 1:
+        zero = self.zero_probability
+        # exact only: a float has no numerator, and True would read as 1
+        if type(zero) not in (int, Fraction):
+            raise ValueError(f"zero_probability {zero!r} is not an int or a Fraction")
+        if not 0 <= zero <= 1:
             raise ValueError("zero_probability must lie in [0, 1]")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")

@@ -28,7 +28,7 @@ along the agent's maximum-product path takes the pool item in and returns
 the first agent's item to the pool. `verify_nsw_certificate` is the same
 step run once on a given matching. The relaxation runs on integers only,
 straight on the integer value matrix, which each step reads off
-`Instance.scaled_rows` at the matched items (`_matching_matrix`; one item
+`Instance.rows` at the matched items (`_matching_matrix`; one item
 per agent, so nothing is summed). No `EnvyRatioGraph` is built, and the
 relaxation lists only the envy ratios that can raise a rank
 (`envy._relax_max_product`): on a matching with few envious agents it
@@ -203,16 +203,16 @@ def _shift(items: list[int], agents: Sequence[int], incoming: int) -> list[int]:
 
 
 def _matching_matrix(instance: Instance, items: list[int]) -> list[list[int]]:
-    """values[i][j] = v_i(item of j): each agent's row of
-    `Instance.scaled_rows` read at the matched items, with no sums."""
-    return [[row[item] for item in items] for row in instance.scaled_rows]
+    """values[i][j] = v_i(item of j): each agent's row of `Instance.rows`
+    read at the matched items, with no sums."""
+    return [[row[item] for item in items] for row in instance.rows]
 
 
 def _find_pool_violation(
     instance: Instance, items: list[int], values: list[list[int]], ranks: EnvyRanks
 ) -> tuple[int, int] | None:
     """Smallest (agent, remaining item) with rank * value > own value, read
-    from the agent's row of `Instance.scaled_rows` and values[agent][agent].
+    from the agent's row of `Instance.rows` and values[agent][agent].
 
     Decided in integers: a value v breaks the bound when v * num > bound,
     with (num, bound) = (rank.numerator, own * rank.denominator) for a
@@ -223,7 +223,7 @@ def _find_pool_violation(
     otherwise none of them does.
     """
     pool = sorted(set(range(instance.item_count)).difference(items))
-    for agent, row in enumerate(instance.scaled_rows):
+    for agent, row in enumerate(instance.rows):
         rank = ranks[agent]
         if is_infinite(rank):
             num, bound = 1, 0

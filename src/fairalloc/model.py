@@ -10,16 +10,15 @@ the scale the LCM of the row's reduced denominators (1 for an integer
 row). `Instance.valuations`, the public `Fraction` table, is built from the
 rows on first use, with one `Fraction` per distinct (value, scale) pair.
 
-Decisions and checks read the stored ints through two cached views of each
-`Instance`, one owned by each side. The solvers decide on
-`Instance.scaled_rows`; the fairness checks read `Instance.check_values`,
-the same ints as an object array of Python ints. Neither side reads the
-other's view, so a wrong decision row cannot certify its own output. The
-matching's float warm start reads the stored rows and scales themselves.
-`_worst_rivals` reduces each agent's row of that view to one worst ratio
-v_i(own) / D_ij, a pair of integers, with array reductions over all bundles
-at once; `fairness_factor` compares the n rows' ratios by cross-multiplying
-and builds a single reduced `Fraction` at the end.
+The solvers decide on the stored `Instance.rows`: each decision compares
+values of one agent only, so the row's scale cancels. The fairness checks
+read `Instance.check_values`, the same ints as an object array of Python
+ints, built and cached apart from `rows`. No decision reads that view and
+no check reads `rows`, so a wrong decision row cannot certify its own
+output. `_worst_rivals` reduces each agent's row of that view to one worst
+ratio v_i(own) / D_ij, a pair of integers, with array reductions over all
+bundles at once; `fairness_factor` compares the n rows' ratios by
+cross-multiplying and builds a single reduced `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -197,19 +196,12 @@ class Instance:
         return tuple(table)
 
     @functools.cached_property
-    def scaled_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The solvers' decision rows: the stored `rows`, each agent's values
-        times its scale. One positive factor per row changes no decision,
-        since each compares values of one agent only. A cache of its own,
-        so that a test can put wrong rows in it and see the checks hold."""
-        return self.rows
-
-    @functools.cached_property
     def check_values(self) -> np.ndarray:
         """The fairness checks' own view of the stored `rows`: an n x m
         NumPy array of Python ints (dtype object), exact at any size. Only
-        the checks read it, and it is built apart from `scaled_rows`, so a
-        wrong decision row cannot certify its own output."""
+        the checks read it, and it is a cache of its own, built apart from
+        the `rows` the decisions read, so a wrong decision row cannot
+        certify its own output."""
         return np.array(self.rows, dtype=object)
 
     def value(self, agent: int, item: int) -> Fraction:
@@ -348,15 +340,16 @@ def _worst_rivals(
     nothing.
 
     Values come from `Instance.check_values`, the checks' own integer view,
-    never from the solvers' cached rows. The allocated columns are taken
-    once, bundle by bundle, and the totals and D of every agent and nonempty
-    bundle are array reductions (`reduceat`). EFR scales by L, the LCM of
-    the bundle sizes: D_ij = total*(k-1)*(L/k) and num = own*L, the same
-    ratio. All four notions thus share the numerator num of row i, so with
-    the own slot set to 0 the worst rival is the first largest D_ij, or,
-    when num is 0 and every ratio is 0, the first D_ij > 0. That pick runs
-    on each row as a list (`max`, `index`): at n <= 6 it took half the time
-    of the same pick as array calls, and the same time at n = 40.
+    never from the `Instance.rows` the solvers read. The allocated columns
+    are taken once, bundle by bundle, and the totals and D of every agent
+    and nonempty bundle are array reductions (`reduceat`). EFR scales by L,
+    the LCM of the bundle sizes: D_ij = total*(k-1)*(L/k) and num = own*L,
+    the same ratio. All four notions thus share the numerator num of row i,
+    so with the own slot set to 0 the worst rival is the first largest
+    D_ij, or, when num is 0 and every ratio is 0, the first D_ij > 0. That
+    pick runs on each row as a list (`max`, `index`): at n <= 6 it took
+    half the time of the same pick as array calls, and the same time at
+    n = 40.
     """
     if not isinstance(notion, FairnessNotion):
         raise ValueError(f"unknown notion {notion!r}")
@@ -403,7 +396,7 @@ def fairness_factor(
     ratio at its first worst rival; the minimum over the rows is kept as
     the first strict minimum in envier order, so the witness is the first
     pair attaining the factor in (i, j) order, and is reduced to a
-    `Fraction` once. The rows are read from `Instance.check_values`, scaled
+    `Fraction` once. The rows are read from `Instance.check_values`, built
     from the stored rows once per instance.
     """
     check_allocation(instance, allocation)

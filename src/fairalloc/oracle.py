@@ -141,10 +141,13 @@ def oracle_envy_rank(
     """Max product over all simple paths ending at the agent, at least 1.
 
     Exhaustive path enumeration; well-defined on any graph, including ones
-    that still admit improving cycles.
+    that still admit improving cycles. An agent outside range(n) raises
+    ValueError.
     """
     _check_graph_limits(graph, limits)
     n = graph.agent_count
+    if not 0 <= agent < n:
+        raise ValueError(f"agent {agent} is outside range({n})")
     best: ExtendedRational = Fraction(1)
     others = [v for v in range(n) if v != agent]
     for size in range(1, n):

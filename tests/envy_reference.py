@@ -1,7 +1,8 @@
 """Test-only references for `fairalloc.envy`.
 
 `reference_envy_cycle` is a list-based strict-envy cycle search, the
-reference for the bitset search behind `fairalloc.envy.envy_cycle_in`. It
+reference for the bitset search `fairalloc.envy._envy_cycle_in_masks` over
+the masks of `fairalloc.envy._envy_masks`. It
 shares no code with the package: successor lists are rebuilt from the value
 matrix on every call, and the cycle is rotated here.
 

@@ -22,7 +22,6 @@ from fairalloc import (
     InvariantChecked,
     MatchingDone,
     Pick,
-    RefinementState,
     bundle_value,
     envy_cycle_elimination,
     fairness_factor,
@@ -121,18 +120,14 @@ class TestPartitionGroups:
 class TestRefineStep2:
     def test_all_top_group_changes_nothing(self, two_by_five):
         matching = Allocation.of([[0], [1]], 5)
-        state = RefinementState(
-            matching, AgentGroups(EFR, g1=frozenset({0, 1}), g2=frozenset()), (0, 1)
-        )
-        assert refine_step2(two_by_five, state).allocation == matching
+        groups = AgentGroups(EFR, g1=frozenset({0, 1}), g2=frozenset())
+        assert refine_step2(two_by_five, matching, groups, (0, 1)) == matching
 
     def test_empty_pool_changes_nothing(self):
         instance = Instance.from_rows([[3, 1], [1, 3]])
         matching = Allocation.of([[0], [1]], 2)
-        state = RefinementState(
-            matching, AgentGroups(EFR, frozenset(), frozenset(), frozenset({0, 1})), (0, 1)
-        )
-        assert refine_step2(instance, state).allocation == matching
+        groups = AgentGroups(EFR, frozenset(), frozenset(), frozenset({0, 1}))
+        assert refine_step2(instance, matching, groups, (0, 1)) == matching
 
     def test_interleaved_passes_golden_trace(self):
         """First agent's two picks are its 1st and 3rd pool choices when the
@@ -145,9 +140,7 @@ class TestRefineStep2:
         groups = partition_groups(result.ranks, EFR)
         assert groups.g3 == {0, 1}
         trace = []
-        state = refine_step2(
-            instance, RefinementState(result.allocation, groups, (0, 1)), trace
-        )
+        refined = refine_step2(instance, result.allocation, groups, (0, 1), trace)
         picks = [(e.agent, e.item, e.label) for e in trace if isinstance(e, Pick)]
         assert picks == [
             (0, 2, "g3-pass-1"),
@@ -155,14 +148,14 @@ class TestRefineStep2:
             (0, 4, "g3-pass-2"),
             (1, 5, "g3-pass-2"),
         ]
-        assert state.allocation == Allocation.of([[0, 2, 4], [1, 3, 5]], 6)
+        assert refined == Allocation.of([[0, 2, 4], [1, 3, 5]], 6)
 
     def test_value_ties_break_to_smallest_item(self):
         instance = Instance.from_rows([[5, 2, 2, 2]])
         result = nsw_matching(instance)
         groups = partition_groups(result.ranks, EFX)
         trace = []
-        refine_step2(instance, RefinementState(result.allocation, groups, (0,)), trace)
+        refine_step2(instance, result.allocation, groups, (0,), trace)
         picks = [e.item for e in trace if isinstance(e, Pick)]
         assert picks == [1]
 
@@ -177,9 +170,8 @@ class TestRefineStep2:
         member is an agent."""
         instance = Instance.from_rows([[1, 2, 3, 4], [4, 3, 2, 1]])
         groups = AgentGroups(EFX, g1=frozenset(), g2=frozenset(g2))
-        state = RefinementState(Allocation.of([[0], [1]], 4), groups, order)
         with pytest.raises(ValueError):
-            refine_step2(instance, state)
+            refine_step2(instance, Allocation.of([[0], [1]], 4), groups, order)
 
 
 class TestEnvyCycleElimination:
@@ -231,7 +223,7 @@ class TestPublicStepsRefuseBadAllocations:
         allocation = Allocation.of(bundles, item_count)
         groups = AgentGroups(EFX, g1=frozenset(), g2=frozenset({0, 1}))
         with pytest.raises(InvalidAllocation):
-            refine_step2(instance, RefinementState(allocation, groups, (0, 1)))
+            refine_step2(instance, allocation, groups, (0, 1))
         with pytest.raises(InvalidAllocation):
             envy_cycle_elimination(instance, allocation)
 
@@ -256,8 +248,9 @@ def best_remaining_item(instance, allocation, agent):
 
 def reference_completion(instance, allocation):
     """Envy-cycle elimination that rebuilds the exact Fraction value matrix
-    from the instance at every step, reading no `scaled_rows`, and searches
-    it for cycles with the list-based reference search."""
+    from `Instance.valuations` at every step, not from the integer rows the
+    solver reads, and searches it for cycles with the list-based reference
+    search."""
     trace = []
     while allocation.remaining:
         while (
@@ -415,7 +408,7 @@ class TestCompletionWork:
     def test_one_matrix_per_certify_step_one_for_the_order_and_one_for_completion(
         self, monkeypatch
     ):
-        """The matching reads its one-item matrix off the scaled rows once
+        """The matching reads its one-item matrix off the stored rows once
         per certify-or-move step. The order step sums the certified
         matching's matrix once (`strict_envy_edges`). Refinement sums no
         bundle; completion sums its matrix once, from the refined bundles,
@@ -558,10 +551,10 @@ class TestCompletionWork:
         yielded.clear()
         for notion in FairnessNotion:
             fairness_factor(instance, allocation, notion)
-        for clean, _, state in random_refinement_states(random.Random(606), 50):
-            refined_check_outcome(clean, state)
+        for clean, _, partial, groups in random_refinement_states(random.Random(606), 50):
+            refined_check_outcome(clean, partial, groups)
             for notion in FairnessNotion:
-                fairness_factor(clean, state.allocation, notion)
+                fairness_factor(clean, partial, notion)
         assert calls == []
         assert len(yielded) == 4 + 100 * 5
         assert max(len(rows) for _, rows in yielded) == 40
@@ -609,9 +602,9 @@ class TestCompletionWork:
         starts, orders = [], []
         refine, complete = algorithms.refine_step2, algorithms.envy_cycle_elimination
 
-        def recorded_refine(instance, state, *rest):
-            orders.append((instance, state.allocation, state.order))
-            return refine(instance, state, *rest)
+        def recorded_refine(instance, allocation, groups, order, *rest):
+            orders.append((instance, allocation, order))
+            return refine(instance, allocation, groups, order, *rest)
 
         def recorded(instance, allocation, *rest, **kwargs):
             starts.append(allocation)
@@ -915,19 +908,18 @@ class TestTraceReplay:
             replay_trace(trace_from_lines(text))
 
 
-def refined_check_outcome(instance, state):
+def refined_check_outcome(instance, allocation, groups):
     """The events `_check_refined` records, and the check that failed, if any."""
     trace = []
     try:
-        _check_refined(instance, state, trace)
+        _check_refined(instance, allocation, groups, trace)
     except InternalGuaranteeViolated as failed:
         return trace, str(failed)
     return trace, None
 
 
-def reference_check_outcome(instance, state):
+def reference_check_outcome(instance, allocation, groups):
     """The same checks on `Fraction`s, pair by pair and item by item."""
-    allocation, groups = state.allocation, state.groups
     spec = MODES[groups.mode]
     n = instance.agent_count
     own = [bundle_value(instance, i, allocation.bundles[i]) for i in range(n)]
@@ -973,9 +965,10 @@ def reference_check_outcome(instance, state):
 
 
 def random_refinement_states(rng, trials):
-    """(clean instance, instance with wrong `scaled_rows`, state) triples:
-    p/q values, or 1s and 2s for exact ties, with zeros, partial allocations
-    and random rank groups."""
+    """(clean instance, poisoned instance, allocation, groups) tuples: p/q
+    values, or 1s and 2s for exact ties, with zeros, partial allocations and
+    random rank groups. The poisoned instance stores wrong rows, which every
+    decision reads, but holds the clean instance's `check_values`."""
     for trial in range(trials):
         n, m = rng.randint(2, 5), rng.randint(2, 10)
         top, denominator = (2, 1) if trial % 2 else (40, 9)
@@ -987,10 +980,10 @@ def random_refinement_states(rng, trials):
             ]
             for _ in range(n)
         ]
-        clean, poisoned = Instance.from_rows(rows), Instance.from_rows(rows)
-        poisoned.__dict__["scaled_rows"] = tuple(
-            tuple(rng.randint(0, 50) for _ in range(m)) for _ in range(n)
-        )
+        clean = Instance.from_rows(rows)
+        wrong_rows = tuple(tuple(rng.randint(0, 50) for _ in range(m)) for _ in range(n))
+        poisoned = Instance(wrong_rows, (1,) * n)
+        poisoned.__dict__["check_values"] = clean.check_values
         owners = [rng.randrange(-1, n) for _ in range(m)]
         alloc = Allocation.of([[g for g in range(m) if owners[g] == i] for i in range(n)], m)
         for mode, group_count in ((EFR, 3), (EFX, 2)):
@@ -998,15 +991,17 @@ def random_refinement_states(rng, trials):
             for agent in range(n):
                 members[min(rng.randrange(group_count + 2), group_count - 1)].add(agent)
             groups = AgentGroups(mode, *map(frozenset, members))
-            yield clean, poisoned, RefinementState(alloc, groups, tuple(range(n)))
+            yield clean, poisoned, alloc, groups
 
 
 class TestRefinementChecks:
     def test_verdicts_match_a_fraction_reference(self):
         failures = []
-        for instance, _, state in random_refinement_states(random.Random(808), 150):
-            outcome = refined_check_outcome(instance, state)
-            assert outcome == reference_check_outcome(instance, state)
+        for instance, _, allocation, groups in random_refinement_states(
+            random.Random(808), 150
+        ):
+            outcome = refined_check_outcome(instance, allocation, groups)
+            assert outcome == reference_check_outcome(instance, allocation, groups)
             failures.append(outcome[1])
         # With every agent in a group, the global EFR check cannot fail once
         # every group factor holds: each group's factor is at least sqrt(3) - 1.
@@ -1021,9 +1016,8 @@ class TestRefinementChecks:
         instance = Instance.from_rows([[1, 5, 5, 0], [1, 5, 5, 0]])
         allocation = Allocation.of([[0], [1, 2]], 4)
         groups = AgentGroups(EFR, frozenset({1}), frozenset())
-        state = RefinementState(allocation, groups, (0, 1))
-        outcome = refined_check_outcome(instance, state)
-        assert outcome == reference_check_outcome(instance, state)
+        outcome = refined_check_outcome(instance, allocation, groups)
+        assert outcome == reference_check_outcome(instance, allocation, groups)
         assert outcome == (
             [
                 InvariantChecked("refine-g1-full-fairness", True),
@@ -1035,17 +1029,19 @@ class TestRefinementChecks:
         )
 
     def test_wrong_decision_rows_change_no_check(self):
-        """The checks scale their own integers from the stored rows: with the
-        cached `scaled_rows` overwritten by wrong ones, every factor, witness
-        and refinement verdict stays the same."""
+        """The checks read their own cached view, `check_values`: on an
+        instance whose stored `rows` are wrong but whose view is the clean
+        one, every factor, witness and refinement verdict stays the same."""
         outcomes = set()
-        for clean, poisoned, state in random_refinement_states(random.Random(909), 120):
+        for clean, poisoned, allocation, groups in random_refinement_states(
+            random.Random(909), 120
+        ):
             for notion in FairnessNotion:
-                assert fairness_factor(poisoned, state.allocation, notion) == (
-                    fairness_factor(clean, state.allocation, notion)
+                assert fairness_factor(poisoned, allocation, notion) == (
+                    fairness_factor(clean, allocation, notion)
                 )
-            outcome = refined_check_outcome(clean, state)
-            assert refined_check_outcome(poisoned, state) == outcome
+            outcome = refined_check_outcome(clean, allocation, groups)
+            assert refined_check_outcome(poisoned, allocation, groups) == outcome
             outcomes.add(outcome[1])
         assert None in outcomes and len(outcomes) > 3  # passes and several failures
 

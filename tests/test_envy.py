@@ -28,9 +28,10 @@ from fairalloc import (
 from fairalloc import envy
 from fairalloc.envy import (
     _cycle_from_predecessors,
+    _envy_cycle_in_masks,
+    _envy_masks,
     _relax_max_product,
     _value_matrix,
-    envy_cycle_in,
 )
 from fairalloc.files import GenSpec, generate_instance
 from fairalloc.oracle import oracle_envy_rank, oracle_improving_cycle
@@ -111,7 +112,7 @@ class TestGraphConstruction:
             assert graph.agent_count == scaled_graph.agent_count == n
             assert graph.values == tuple(
                 tuple(sum(row[g] for g in bundle) for bundle in allocation.bundles)
-                for row in instance.scaled_rows
+                for row in instance.rows
             )
             for i, j in graph.pairs():
                 own = bundle_value(instance, i, allocation.bundles[i])
@@ -283,6 +284,16 @@ class TestEnvyRanks:
             for agent in range(instance.agent_count):
                 assert (ranks[agent] == 1) == (oracle_envy_rank(graph, agent) == 1)
 
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_max_product_path_refuses_an_agent_outside_the_graph(self, agent):
+        """On an acyclic 3-agent graph, -1 is not read as the last agent and
+        3 raises no bare IndexError: both are refused as agents."""
+        instance = Instance.from_rows([[4, 1, 1], [1, 4, 1], [1, 1, 4]])
+        graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1], [2]], 3))
+        assert find_improving_cycle(graph) is None
+        with pytest.raises(ValueError, match=rf"agent {agent} is outside range\(3\)"):
+            max_product_path(graph, agent)
+
     def test_max_product_path_attains_rank(self):
         rng = random.Random(808)
         for _ in range(80):
@@ -404,7 +415,7 @@ class TestIntegerRelaxation:
             for allocation in (random_matching, nsw_matching(instance).allocation):
                 graph = build_envy_ratio_graph(instance, allocation)
                 expected = reference_relaxation(graph)
-                values = _value_matrix(instance.scaled_rows, allocation.bundles)
+                values = _value_matrix(instance.rows, allocation.bundles)
                 assert kernel_outcome(values) == expected
                 assert kernel_outcome(graph.values) == expected
                 found_cycle = expected[0] == "cycle"
@@ -435,7 +446,7 @@ class TestIntegerRelaxation:
         for seed in range(1, 9):
             instance = generate_instance(GenSpec(40, 120, 0, 100, Fraction(1, 10), seed))
             allocation = nsw_matching(instance).allocation
-            values = _value_matrix(instance.scaled_rows, allocation.bundles)
+            values = _value_matrix(instance.rows, allocation.bundles)
             listed.clear()
             ranks = _relax_max_product(values)[0]
             bound = len(strict_envy_edges(instance, allocation)) + 39 * sum(
@@ -539,9 +550,9 @@ class TestEnvyCycles:
         values = [[0] * n for _ in range(n)]
         for i in range(n - 1):
             values[i][i], values[i][i + 1] = 1, 2
-        assert envy_cycle_in(values) is None
+        assert _envy_cycle_in_masks(_envy_masks(values)) is None
         values[n - 1][n - 1], values[n - 1][0] = 1, 2
-        assert envy_cycle_in(values) == tuple(range(n))
+        assert _envy_cycle_in_masks(_envy_masks(values)) == tuple(range(n))
 
 
 @st.composite
@@ -562,7 +573,7 @@ class TestCycleSearchAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(value_matrices())
     def test_same_cycle_as_the_list_search(self, values):
-        assert envy_cycle_in(values) == reference_envy_cycle(values)
+        assert _envy_cycle_in_masks(_envy_masks(values)) == reference_envy_cycle(values)
 
     def test_same_cycle_on_seeded_matrices(self):
         rng = random.Random(3)
@@ -574,7 +585,7 @@ class TestCycleSearchAgainstReference:
                 for _ in range(n)
             ]
             expected = reference_envy_cycle(values)
-            assert envy_cycle_in(values) == expected
+            assert _envy_cycle_in_masks(_envy_masks(values)) == expected
             found[expected is not None] += 1
         assert min(found.values()) > 300  # both cycles and acyclic graphs
 

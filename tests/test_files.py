@@ -104,7 +104,6 @@ class TestInstanceFiles:
         assert instance.rows == ((3, 0, 2), (2, 1, 8))
         assert instance.scales == (1, 2)
         assert all(type(x) is int for row in instance.rows for x in row)
-        assert instance.scaled_rows is instance.rows
         assert instance.valuations == ((3, 0, 2), (1, Fraction(1, 2), 4))
         assert all(type(v) is Fraction for row in instance.valuations for v in row)
 
@@ -470,6 +469,19 @@ class TestGeneration:
             GenSpec(2, 3, 0, 10, Fraction(3, 2), seed=0)
         with pytest.raises(ValueError):
             GenSpec(2, 3, 0, 10, Fraction(0), seed=2**64)
+
+    @pytest.mark.parametrize("zero", [0.1, 0.0, True, False])
+    def test_a_float_or_bool_zero_probability_raises(self, zero):
+        """A float has no exact numerator to draw against, and True would
+        read as 1, zeroing every value."""
+        with pytest.raises(ValueError, match=f"zero_probability {zero!r} is not an int"):
+            GenSpec(2, 3, 0, 10, zero, 1)
+
+    def test_an_int_zero_probability_draws_as_its_fraction(self):
+        for zero in (0, 1):
+            assert generate_instance(GenSpec(2, 3, 0, 10, zero, 1)) == generate_instance(
+                GenSpec(2, 3, 0, 10, Fraction(zero), 1)
+            )
 
     def test_random_instances_respect_agent_floor(self):
         for _, instance in random_instances(50, (2, 6), (2, 12), 0, 100, (Fraction(0),), seed=3):

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 from test_benchmark_contract import TARGETS
 
+from fairalloc import Instance
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fairalloc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
@@ -182,15 +184,17 @@ def test_the_dead_name_guard_flags_only_unread_private_names():
     assert dead_private_names(sources) == ["a._dead"]
 
 
-# The exact checks read the stored rows through a view of their own
-# (`Instance.check_values`); they must not read the solvers' cached decision
-# rows, which a test overwrites to show that the checks do not depend on
-# them.
+# The exact checks read the stored rows through a view of their own,
+# `Instance.check_values`, the one checker that builds from `Instance.rows`.
+# The others must not name the rows every decision reads: a test gives an
+# instance wrong rows and the clean view to show that the checks do not
+# depend on them.
 CHECKERS = {
     "model": ("check_values", "fairness_factor", "_worst_rivals"),
     "algorithms": ("_check_refined",),
 }
-DECISION_CACHES = {"scaled_rows", "row_scales"}
+DECISION_ROWS = "rows"
+CHECK_VIEW = "check_values"
 
 
 def names_read(function: ast.FunctionDef | ast.Module) -> set[str]:
@@ -222,23 +226,21 @@ def test_the_checkers_read_no_decision_rows(module, function):
         node for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == function
     )
-    assert names_read(definition) & DECISION_CACHES == set()
+    reads_rows = DECISION_ROWS in names_read(definition)
+    assert reads_rows == (function == CHECK_VIEW)
 
 
 def test_the_decision_row_guard_sees_attributes_and_strings_not_docstrings():
     source = (
-        "def a(x):\n    '''reads no scaled_rows'''\n    return x.valuations\n"
-        "def b(x):\n    return x.scaled_rows\n"
-        "def c(x):\n    return getattr(x, 'row_scales')\n"
+        "def a(x):\n    '''reads no rows'''\n    return x.valuations\n"
+        "def b(x):\n    return x.rows\n"
+        "def c(x):\n    return getattr(x, 'rows')\n"
     )
-    found = {
-        node.name: names_read(node) & DECISION_CACHES for node in ast.parse(source).body
-    }
-    assert found == {"a": set(), "b": {"scaled_rows"}, "c": {"row_scales"}}
+    found = {node.name: DECISION_ROWS in names_read(node) for node in ast.parse(source).body}
+    assert found == {"a": False, "b": True, "c": True}
 
 
 # The checks' integer view is theirs alone: no decision reads it.
-CHECK_VIEW = "check_values"
 DECISION_MODULES = ("envy", "matching", "files", "cli", "algorithms")
 CHECK_VIEW_READERS = {"_check_refined"}  # the one check that lives in `algorithms`
 
@@ -264,7 +266,7 @@ def test_no_decision_reads_the_check_view(module):
 def test_the_check_view_guard_sees_methods_and_nested_functions():
     source = (
         "def _check_refined(x):\n    return x.check_values\n"
-        "def decide(x):\n    '''reads no check_values'''\n    return x.scaled_rows\n"
+        "def decide(x):\n    '''reads no check_values'''\n    return x.rows\n"
         "class Picker:\n"
         "    def pick(self, x):\n        return getattr(x, 'check_values')\n"
         "def outer(x):\n"
@@ -300,3 +302,10 @@ def test_the_fraction_table_guard_sees_names_attributes_and_strings_not_docstrin
         assert FRACTION_TABLE in names_read(ast.parse(source))
     source = "'''valuations'''\ndef f(x):\n    '''reads no valuations'''\n    return x.rows\n"
     assert FRACTION_TABLE not in names_read(ast.parse(source))
+
+
+def test_every_policed_name_is_an_instance_attribute():
+    """A guard that polices a name `Instance` no longer has passes vacuously."""
+    instance = Instance.from_rows([[1, 2]])
+    policed = {DECISION_ROWS, CHECK_VIEW, FRACTION_TABLE}
+    assert [name for name in sorted(policed) if not hasattr(instance, name)] == []

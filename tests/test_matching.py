@@ -488,7 +488,7 @@ class TestPoolViolation:
                     ranks.append(Fraction(rng.randint(4, 12), 4))
             ranks = EnvyRanks(tuple(ranks))
             expected = reference_pool_violation(instance, allocation, ranks)
-            values = _value_matrix(instance.scaled_rows, allocation.bundles)
+            values = _value_matrix(instance.rows, allocation.bundles)
             items = [item for (item,) in bundles]
             assert _find_pool_violation(instance, items, values, ranks) == expected
             found += expected is not None
@@ -504,14 +504,14 @@ class TestPoolViolation:
         instance = Instance.from_rows([[4, 10, 2, 3], [1, 5, 1, 1]])
         allocation = Allocation.of([[0], [1]], 4)
         ranks = EnvyRanks((rank, Fraction(1)))
-        values = _value_matrix(instance.scaled_rows, allocation.bundles)
+        values = _value_matrix(instance.rows, allocation.bundles)
         assert reference_pool_violation(instance, allocation, ranks) == expected
         assert _find_pool_violation(instance, [0, 1], values, ranks) == expected
 
 
 class TestMatchingMatrix:
     def test_each_certify_step_reads_the_summed_matrix(self, monkeypatch):
-        """Every certify-or-move step's matrix, read off the scaled rows at
+        """Every certify-or-move step's matrix, read off the stored rows at
         the matched items, equals the one `_value_matrix` sums, on random
         starts that make the repair loop move, with p/q rows, zeros and
         values far above 2**63."""
@@ -524,7 +524,7 @@ class TestMatchingMatrix:
             steps += 1
             values = build(instance, items)
             allocation = Allocation.of([[item] for item in items], instance.item_count)
-            assert values == _value_matrix(instance.scaled_rows, allocation.bundles)
+            assert values == _value_matrix(instance.rows, allocation.bundles)
             return values
 
         monkeypatch.setattr(matching, "_matching_matrix", compared)

@@ -319,8 +319,8 @@ class TestScaledRows:
     @given(rational_rows)
     def test_each_row_is_a_positive_integer_multiple(self, rows):
         instance = Instance.from_rows(rows)
-        assert len(instance.scaled_rows) == instance.agent_count
-        for scaled, row in zip(instance.scaled_rows, instance.valuations):
+        assert len(instance.rows) == instance.agent_count
+        for scaled, row in zip(instance.rows, instance.valuations):
             scale = math.lcm(*(v.denominator for v in row))
             assert list(scaled) == [v * scale for v in row]
             assert all(type(x) is int and x >= 0 for x in scaled)

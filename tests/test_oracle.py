@@ -81,6 +81,13 @@ class TestOracleEnvyRank:
         graph = build_envy_ratio_graph(four_by_four, rotated_allocation)
         assert oracle_envy_rank(graph, 1) == 2
 
+    @pytest.mark.parametrize("agent", [-1, 3])
+    def test_an_agent_outside_the_graph_raises(self, agent):
+        instance = Instance.from_rows([[4, 1, 1], [1, 4, 1], [1, 1, 4]])
+        graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1], [2]], 3))
+        with pytest.raises(ValueError, match=rf"agent {agent} is outside range\(3\)"):
+            oracle_envy_rank(graph, agent)
+
 
 class TestOracleBestFactor:
     def test_single_agent_everything(self):

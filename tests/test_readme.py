@@ -45,7 +45,7 @@ def resolves(name: str) -> bool:
 
 def test_every_quoted_package_name_resolves():
     names = quoted_names(README.read_text())
-    assert {"Instance.rows", "Instance.scaled_rows", "fairalloc.replay_trace"} <= names
+    assert {"Instance.rows", "Instance.check_values", "fairalloc.replay_trace"} <= names
     assert [name for name in sorted(names) if not resolves(name)] == []
 
 
