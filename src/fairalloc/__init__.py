@@ -9,7 +9,6 @@ desk-scale ground truth.
 from .algorithms import (
     AgentGroups,
     CycleRotated,
-    GroupsAssigned,
     InvariantChecked,
     MatchingDone,
     Pick,
@@ -48,7 +47,6 @@ from .errors import (
     LimitExceeded,
 )
 from .matching import (
-    NswMatchingResult,
     lexicographic_objective,
     nsw_matching,
     verify_nsw_certificate,

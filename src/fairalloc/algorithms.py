@@ -26,12 +26,15 @@ through `model.compare_scaled`, which decides it exactly in integers.
 validated by `Allocation.of`, passes between them; inside a step the
 bundles are item lists and the pool a sorted list.
 
-Every run produces a trace: the recorded matching followed by each pick and
-rotation (replaying those reproduces the output allocation exactly) plus
-the outcomes of the mid-run invariant checks. The checks are switchable --
-they are the main verification payload but cost a factor evaluation per
-step -- and a failed check raises InternalGuaranteeViolated, which for
-valid inputs always means an implementation defect.
+Every run produces a trace. Its first two events are the results of the
+first two steps, recorded as they are returned: the `MatchingDone` of
+`nsw_matching` (the matching and its envy ranks) and the `AgentGroups` of
+`_partition_groups`. Each pick and rotation follows (replaying those on the
+matching reproduces the output allocation exactly), plus the outcomes of
+the mid-run invariant checks. The checks are switchable -- they are the
+main verification payload but cost a factor evaluation per step -- and a
+failed check raises InternalGuaranteeViolated, which for valid inputs
+always means an implementation defect.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .envy import (
     topological_order,
 )
 from .errors import InfiniteRank, InternalGuaranteeViolated
-from .matching import nsw_matching, verify_nsw_certificate
+from .matching import MatchingDone, nsw_matching, verify_nsw_certificate
 from .model import (
     Allocation,
     FairnessNotion,
@@ -142,7 +145,7 @@ def partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
     top group themselves (their bundles must stay singletons), but this
     operation refuses to guess.
     """
-    if any(is_infinite(r) for r in ranks.ranks):
+    if any(is_infinite(r) for r in ranks):
         raise InfiniteRank("group membership is undefined for an infinite rank")
     return _partition_groups(ranks, mode)
 
@@ -150,7 +153,7 @@ def partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
 def _partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
     cuts = _mode_spec(mode).cuts
     groups: list[set[int]] = [set() for _ in range(3)]
-    for agent, rank in enumerate(ranks.ranks):
+    for agent, rank in enumerate(ranks):
         for group, cut in enumerate(cuts):
             if is_infinite(rank) or compare_scaled(rank, cut, 1) > 0:
                 break
@@ -161,17 +164,7 @@ def _partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
 
 
 # --- Trace events -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchingDone:
-    allocation: Allocation
-    ranks: EnvyRanks
-
-
-@dataclass(frozen=True)
-class GroupsAssigned:
-    groups: AgentGroups
+# The first two events are `matching.MatchingDone` and `AgentGroups` above.
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,7 @@ class InvariantChecked:
 
 
 TraceEvent = (
-    MatchingDone | GroupsAssigned | Pick | CycleRotated | SourcePick | InvariantChecked
+    MatchingDone | AgentGroups | Pick | CycleRotated | SourcePick | InvariantChecked
 )
 Trace = list[TraceEvent]
 
@@ -451,22 +444,22 @@ def _solve(
     threshold = MODES[mode].threshold
     trace: Trace = []
 
-    result = nsw_matching(instance)
-    trace.append(MatchingDone(result.allocation, result.ranks))
+    matching = nsw_matching(instance)
+    trace.append(matching)
     if check:
         _check(
             trace,
             "matching-certificate",
-            verify_nsw_certificate(instance, result.allocation),
+            verify_nsw_certificate(instance, matching.allocation),
         )
 
-    groups = _partition_groups(result.ranks, mode)
-    trace.append(GroupsAssigned(groups))
+    groups = _partition_groups(matching.ranks, mode)
+    trace.append(groups)
     order = topological_order(
-        instance.agent_count, strict_envy_edges(instance, result.allocation)
+        instance.agent_count, strict_envy_edges(instance, matching.allocation)
     )
 
-    refined = refine_step2(instance, result.allocation, groups, order, trace)
+    refined = refine_step2(instance, matching.allocation, groups, order, trace)
     if check:
         _check_refined(instance, refined, groups, trace)
 

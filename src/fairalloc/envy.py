@@ -17,9 +17,11 @@ k = 1, a = b = 1 for inf; each agent's value is a triple (k, num, den) of
 the same form. Along a path the k parts add and the fractions multiply;
 values compare on k first, then by cross-multiplying the fractions. A cycle
 through an infinite edge is then improving like any other, and a rank with
-k > 0 reads back as INF. A weight-0 edge can never beat the empty path, so
-it is never listed, and an agent still at the all-ones baseline lists only
-its edges of weight > 1, the only ones that can raise a rank from there: a
+k > 0 reads back as INF. The ranks come back as a plain tuple, one per
+agent; `EnvyRanks` is an alias for that tuple type, as `Cycle` is for a
+cycle's. A weight-0 edge can never beat the empty path, so it is never
+listed, and an agent still at the all-ones baseline lists only its edges
+of weight > 1, the only ones that can raise a rank from there: a
 pass costs the strict-envy edges plus the out-edges of the agents whose
 rank ends above 1, not all n(n-1) ratios. `_value_matrix` is the one place
 a matrix is summed from bundles, for the public queries and for completion;
@@ -54,6 +56,7 @@ from .model import (
 )
 
 Cycle = tuple[int, ...]
+EnvyRanks = tuple[ExtendedRational, ...]  # per agent; at least 1 via the empty path
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,12 @@ class EnvyRatioGraph:
         return len(self.values)
 
     def weight(self, i: int, j: int) -> ExtendedRational:
-        """v_i(B_j) / v_i(B_i); 0 if v_i(B_j) = 0, else INF if v_i(B_i) = 0."""
+        """v_i(B_j) / v_i(B_i); 0 if v_i(B_j) = 0, else INF if v_i(B_i) = 0.
+
+        Raises ValueError unless i and j are distinct agents of range(n)."""
+        n = self.agent_count
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"weight({i}, {j}) needs two distinct agents of range({n})")
         row = self.values[i]
         own, other = row[i], row[j]
         if not other:
@@ -79,19 +87,6 @@ class EnvyRatioGraph:
         """All ordered pairs of distinct agents, lexicographically."""
         n = self.agent_count
         return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-@dataclass(frozen=True)
-class EnvyRanks:
-    """Per-agent maximum path product; at least 1 via the empty path."""
-
-    ranks: tuple[ExtendedRational, ...]
-
-    def __getitem__(self, agent: int) -> ExtendedRational:
-        return self.ranks[agent]
-
-    def __len__(self) -> int:
-        return len(self.ranks)
 
 
 def _canonical(cycle: list[int]) -> Cycle:
@@ -208,7 +203,7 @@ def _relax_max_product(values: Sequence[Sequence[int]]) -> tuple[EnvyRanks, list
     ranks = tuple(
         INF if k else Fraction(num, den) for k, num, den in zip(ks, nums, dens)
     )
-    return EnvyRanks(ranks), preds
+    return ranks, preds
 
 
 def _is_improving(cycle: Cycle, values: Sequence[Sequence[int]]) -> bool:

@@ -29,7 +29,6 @@ from typing import Any, Iterable, Iterator
 from .algorithms import (
     AgentGroups,
     CycleRotated,
-    GroupsAssigned,
     InvariantChecked,
     MatchingDone,
     Pick,
@@ -37,7 +36,6 @@ from .algorithms import (
     Trace,
     TraceEvent,
 )
-from .envy import EnvyRanks
 from .errors import InvalidAllocation, InvalidInstance
 from .model import (
     INF,
@@ -195,15 +193,15 @@ def _event_to_dict(event: TraceEvent) -> dict:
             "event": "matching",
             "items": event.allocation.item_count,
             "bundles": [sorted(b) for b in event.allocation.bundles],
-            "ranks": [format_extended(r) for r in event.ranks.ranks],
+            "ranks": [format_extended(r) for r in event.ranks],
         }
-    if isinstance(event, GroupsAssigned):
+    if isinstance(event, AgentGroups):
         return {
             "event": "groups",
-            "mode": event.groups.mode.value,
-            "g1": sorted(event.groups.g1),
-            "g2": sorted(event.groups.g2),
-            "g3": sorted(event.groups.g3),
+            "mode": event.mode.value,
+            "g1": sorted(event.g1),
+            "g2": sorted(event.g2),
+            "g3": sorted(event.g3),
         }
     if isinstance(event, Pick):
         return {"event": "pick", "agent": event.agent, "item": event.item, "pass": event.label}
@@ -237,16 +235,13 @@ def _event_from_dict(doc: dict) -> TraceEvent:
     if kind == "matching":
         bundles = [_item_indices(b, "a 'bundles' entry") for b in doc["bundles"]]
         allocation = Allocation.of(bundles, _typed(doc, "items", int))
-        ranks = EnvyRanks(tuple(parse_extended(r) for r in doc["ranks"]))
-        return MatchingDone(allocation, ranks)
+        return MatchingDone(allocation, tuple(parse_extended(r) for r in doc["ranks"]))
     if kind == "groups":
-        return GroupsAssigned(
-            AgentGroups(
-                FairnessNotion(_typed(doc, "mode", str)),
-                frozenset(_ints(doc["g1"], "g1")),
-                frozenset(_ints(doc["g2"], "g2")),
-                frozenset(_ints(doc.get("g3", []), "g3")),
-            )
+        return AgentGroups(
+            FairnessNotion(_typed(doc, "mode", str)),
+            frozenset(_ints(doc["g1"], "g1")),
+            frozenset(_ints(doc["g2"], "g2")),
+            frozenset(_ints(doc.get("g3", []), "g3")),
         )
     if kind == "pick":
         return Pick(_typed(doc, "agent", int), _typed(doc, "item", int), _typed(doc, "pass", str))
@@ -330,6 +325,10 @@ class GenSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        for field in ("agents", "items", "low", "high", "seed"):
+            value = getattr(self, field)
+            if type(value) is not int:  # a float, or True read as 1
+                raise ValueError(f"{field} {value!r} is not an int")
         if self.agents < 1 or self.items < 1:
             raise ValueError("need at least one agent and one item")
         if not 0 <= self.low <= self.high:

@@ -19,12 +19,15 @@ later step relies on,
   * the envy-ratio graph admits no improving cycle, and
   * rank_i * v_i(b) <= v_i(own item) for every agent i and remaining b,
 
-and returns the envy ranks, or it yields the repair move. Both kinds of
-move are one shift of the vector (`_shift`): each agent on a list takes
-the next one's item and the last takes an incoming one. A rotation along
-the improving cycle the relaxation found takes the first agent's item in;
-for the smallest (agent, pool item) breaking the second clause, a path move
-along the agent's maximum-product path takes the pool item in and returns
+and returns the envy ranks, a plain tuple (`envy.EnvyRanks`), or it
+yields the repair move. `nsw_matching` returns the certified matching with
+its ranks as a `MatchingDone`, which the solvers record as their first
+trace event as it is. Both kinds of move are one shift of the vector
+(`_shift`): each agent on a list takes the next one's item and the last
+takes an incoming one. A rotation along the improving cycle the
+relaxation found takes the first agent's item in; for the smallest
+(agent, pool item) breaking the second clause, a path move along the
+agent's maximum-product path takes the pool item in and returns
 the first agent's item to the pool. `verify_nsw_certificate` is the same
 step run once on a given matching. The relaxation runs on integers only,
 straight on the integer value matrix, which each step reads off
@@ -122,7 +125,10 @@ linear_sum_assignment = _load_kernel()
 
 
 @dataclass(frozen=True)
-class NswMatchingResult:
+class MatchingDone:
+    """The certified matching and its envy ranks: `nsw_matching`'s result,
+    which the solvers record as their first trace event as it is."""
+
     allocation: Allocation
     ranks: EnvyRanks
 
@@ -237,22 +243,24 @@ def _find_pool_violation(
     return None
 
 
-def _certify_or_move(instance: Instance, items: list[int]) -> EnvyRanks | list[int]:
-    """The certified envy ranks, or the repair loop's next item vector, from
-    the matching's value matrix (`_matching_matrix`)."""
+def _certify_or_move(
+    instance: Instance, items: list[int]
+) -> tuple[EnvyRanks, None] | tuple[None, list[int]]:
+    """(the certified envy ranks, None) or (None, the repair loop's next
+    item vector), from the matching's value matrix (`_matching_matrix`)."""
     values = _matching_matrix(instance, items)
     try:
         ranks, preds = _relax_max_product(values)
     except ImprovingCycleExists as found:
-        return _shift(items, found.cycle, items[found.cycle[0]])
+        return None, _shift(items, found.cycle, items[found.cycle[0]])
     violation = _find_pool_violation(instance, items, values, ranks)
     if violation is None:
-        return ranks
+        return ranks, None
     agent, item = violation
-    return _shift(items, _predecessor_path(preds, agent), item)
+    return None, _shift(items, _predecessor_path(preds, agent), item)
 
 
-def nsw_matching(instance: Instance) -> NswMatchingResult:
+def nsw_matching(instance: Instance) -> MatchingDone:
     """Certified one-item-per-agent allocation (see module docstring)."""
     n, m = instance.agent_count, instance.item_count
     if m < n:
@@ -260,9 +268,9 @@ def nsw_matching(instance: Instance) -> NswMatchingResult:
     items = _warm_start(instance)
     objective: Objective | None = None  # of `items`, once a move needs it
     while True:
-        step = _certify_or_move(instance, items)
-        if isinstance(step, EnvyRanks):
-            return NswMatchingResult(_allocation(items, m), step)
+        ranks, step = _certify_or_move(instance, items)
+        if step is None:
+            return MatchingDone(_allocation(items, m), ranks)
         if objective is None:
             objective = lexicographic_objective(instance, _allocation(items, m))
         after = lexicographic_objective(instance, _allocation(step, m))
@@ -276,4 +284,4 @@ def verify_nsw_certificate(instance: Instance, allocation: Allocation) -> bool:
     if any(len(bundle) != 1 for bundle in allocation.bundles):
         raise InvalidAllocation("certificate verification needs one item per agent")
     items = [item for (item,) in allocation.bundles]
-    return isinstance(_certify_or_move(instance, items), EnvyRanks)
+    return _certify_or_move(instance, items)[1] is None

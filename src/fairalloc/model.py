@@ -253,23 +253,18 @@ class Allocation:
     def with_item(self, agent: int, item: int) -> "Allocation":
         """New allocation with one more item in the given agent's bundle.
 
-        Only the new (agent, item) is checked: the agent must exist and the
-        item must be in range and still unallocated. The bundles are then
-        disjoint by construction, so they are not walked again.
+        The agent must exist and the item must be unallocated; the
+        constructor checks the item's range. An item the agent already
+        holds is refused here, since adding it again changes no bundle.
         """
         if not 0 <= agent < self.agent_count:
             raise InvalidAllocation(f"agent {agent} out of range")
-        if not 0 <= item < self.item_count:
-            raise InvalidAllocation(f"item {item} out of range")
         for holder, bundle in enumerate(self.bundles):
             if item in bundle:
                 raise InvalidAllocation(f"item {item} already held by agent {holder}")
         new = list(self.bundles)
         new[agent] = new[agent] | {item}
-        allocation = object.__new__(Allocation)
-        object.__setattr__(allocation, "bundles", tuple(new))
-        object.__setattr__(allocation, "item_count", self.item_count)
-        return allocation
+        return Allocation(tuple(new), self.item_count)
 
 
 def check_allocation(instance: Instance, allocation: Allocation) -> None:

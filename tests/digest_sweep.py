@@ -32,6 +32,9 @@ above does: k prototype rows with values in 1-100 (k = 2 for even seeds,
 3 for odd ones), and agent i's row is 3 * prototype[i mod k] + r with r in
 0-2, at n = 20, 30 and 40, m = 5n and 10n, seeds 0-31. Its 384 solves
 with checks off make 726 bundle rotations.
+
+`tests/test_algorithms.py` pins one SHA-256 over the `digest_lines` of the
+jitter families and of the "types" family at n = 20, seeds 0-7.
 """
 
 from __future__ import annotations
@@ -115,26 +118,40 @@ def families():
                 rng = random.Random(f"{family}/{n}/{s}")
                 rows = [[rational_value(family, rng) for _ in range(3 * n)] for _ in range(n)]
                 yield f"{family}-{n}", s, Instance.from_rows(rows)
+    yield from jitter_instances()
+    yield from types_instances()
+
+
+def jitter_instances():
     for n in JITTER_SIZES:
         for s in JITTER_SEEDS:
             for family, rows in jitter_families(n, s):
                 yield f"{family}-{n}", s, Instance.from_rows(rows)
-    for n in TYPES_SIZES:
+
+
+def types_instances(sizes=TYPES_SIZES, seeds=TYPES_SEEDS):
+    for n in sizes:
         for per_agent in TYPES_ITEMS_PER_AGENT:
-            for s in TYPES_SEEDS:
+            for s in seeds:
                 rows = types_rows(n, per_agent * n, s)
                 yield f"types-{n}x{per_agent * n}", s, Instance.from_rows(rows)
 
 
-def main() -> None:
-    for family, seed, instance in families():
+def digest_lines(instances):
+    """One `family seed mode check digest` line per solve of each instance."""
+    for family, seed, instance in instances:
         for mode, solver in SOLVERS:
             for check in (False, True):
                 try:
                     digest = solve_digest(*solver(instance, check=check))
                 except Exception as error:  # a raised error is part of the outcome
                     digest = type(error).__name__
-                print(family, seed, mode, "on" if check else "off", digest, flush=True)
+                yield f"{family} {seed} {mode} {'on' if check else 'off'} {digest}"
+
+
+def main() -> None:
+    for line in digest_lines(families()):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

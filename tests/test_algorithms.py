@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from fairalloc.algorithms import (
     MODES,
     AgentGroups,
     CycleRotated,
-    GroupsAssigned,
     SourcePick,
     _check_refined,
 )
@@ -63,6 +63,7 @@ from fairalloc.matching import lexicographic_objective
 from fairalloc.model import compare_scaled
 from fairalloc.oracle import oracle_nsw_matching
 
+from digest_sweep import digest_lines, jitter_instances, types_instances
 from envy_reference import reference_envy_cycle
 
 EFR = FairnessNotion.EFR
@@ -70,7 +71,7 @@ EFX = FairnessNotion.EFX
 
 
 def ranks_of(*values) -> EnvyRanks:
-    return EnvyRanks(tuple(Fraction(v) if v != INF else INF for v in values))
+    return tuple(Fraction(v) if v != INF else INF for v in values)
 
 
 class TestPartitionGroups:
@@ -711,9 +712,7 @@ class TestSolvers:
             assert meets_threshold(
                 fairness_factor(instance, allocation, notion), threshold
             )
-            groups = next(
-                e.groups for e in trace if isinstance(e, GroupsAssigned)
-            )
+            groups = next(e for e in trace if isinstance(e, AgentGroups))
             assert groups.g1  # the infinite-rank agent sits in the top group
 
     def test_infinite_rank_agent_keeps_singleton_with_leftover_pool(self):
@@ -771,7 +770,7 @@ class TestSolvers:
         groups end it with exactly 1, 2, and 3 items respectively."""
         for _, instance in random_instances(40, (2, 4), (12, 12), 1, 100, (Fraction(0),), seed=63):
             _, trace = solve_efr(instance)
-            groups = next(e.groups for e in trace if isinstance(e, GroupsAssigned))
+            groups = next(e for e in trace if isinstance(e, AgentGroups))
             picked = {agent: 1 for agent in range(instance.agent_count)}
             for event in trace:
                 if isinstance(event, Pick):
@@ -887,6 +886,13 @@ class TestTraceReplay:
         assert isinstance(trace[0], MatchingDone)
         assert replay_trace(trace) == allocation
 
+    @pytest.mark.parametrize("mode, solver", [(EFR, solve_efr), (EFX, solve_efx)])
+    def test_first_two_events_are_the_step_results(self, four_by_four, mode, solver):
+        _, trace = solver(four_by_four, check=False)
+        assert trace[0] == nsw_matching(four_by_four)
+        assert trace[1] == partition_groups(trace[0].ranks, mode)
+        assert type(trace[0].ranks) is tuple
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -900,9 +906,7 @@ class TestTraceReplay:
              "item-held-by-another", "item-past-the-end"],
     )
     def test_replay_rejects_a_bad_pick_read_from_a_trace_file(self, line):
-        matching = MatchingDone(
-            Allocation.of([[0], [1], [2], [3]], 6), EnvyRanks((Fraction(1),) * 4)
-        )
+        matching = MatchingDone(Allocation.of([[0], [1], [2], [3]], 6), (Fraction(1),) * 4)
         text = trace_to_lines([matching]) + line + "\n"
         with pytest.raises(InvalidAllocation):
             replay_trace(trace_from_lines(text))
@@ -1123,6 +1127,20 @@ class TestGoldenTrace:
                 digest.update(trace_to_lines(trace).encode())
         assert digest.hexdigest() == (
             "6c05012e51752298b8406f156db5b00ffbcb072aebdb298513cb4d280249097e"
+        )
+
+
+class TestRepairAndRotationDigest:
+    def test_jitter_and_types_digest(self):
+        """The solver paths that no golden file reaches, pinned by the digest
+        lines of `digest_sweep`: its jitter families make the matching's
+        repair loop move (672 solves), and its "types" family at n = 20,
+        seeds 0-7, makes completion rotate bundles (92 rotations in 64
+        solves). Recorded before the step results became the trace events."""
+        instances = chain(jitter_instances(), types_instances((20,), range(8)))
+        text = "".join(line + "\n" for line in digest_lines(instances))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f2a03eb5111ecdac35f95a42bd74418ac7604f2de66d19375baccf072aa73640"
         )
 
 

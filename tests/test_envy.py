@@ -63,6 +63,15 @@ class TestGraphConstruction:
         assert graph.weight(1, 0) == 2
         assert graph.weight(1, 2) == 0
 
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)])
+    def test_weight_needs_two_distinct_agents(self, i, j):
+        """A negative agent is not read as a Python index, and the diagonal
+        stays undefined."""
+        instance = Instance.from_rows([[4, 1, 1], [1, 4, 2], [1, 1, 4]])
+        graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1], [2]], 3))
+        with pytest.raises(ValueError, match=r"two distinct agents of range\(3\)"):
+            graph.weight(i, j)
+
     def test_equal_valuations_equal_bundles_weight_one(self):
         instance = Instance.from_rows([[2, 2], [2, 2]])
         graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1]], 2))
@@ -202,12 +211,12 @@ class TestEnvyRanks:
     def test_no_strong_edges_means_all_ones(self):
         instance = Instance.from_rows([[4, 1, 1], [1, 4, 1]])
         graph = build_envy_ratio_graph(instance, Allocation.of([[0], [1]], 3))
-        assert envy_ranks(graph).ranks == (Fraction(1), Fraction(1))
+        assert envy_ranks(graph) == (Fraction(1), Fraction(1))
 
     def test_rotated_4x4_ranks(self, four_by_four, rotated_allocation):
         graph = build_envy_ratio_graph(four_by_four, rotated_allocation)
         ranks = envy_ranks(graph)
-        assert ranks.ranks == (Fraction(1), Fraction(2), Fraction(1), Fraction(1))
+        assert ranks == (Fraction(1), Fraction(2), Fraction(1), Fraction(1))
         assert oracle_envy_rank(graph, 1) == 2
 
     def test_requires_no_improving_cycle(self, four_by_four, identity_allocation):
@@ -346,7 +355,7 @@ def kernel_outcome(values):
         ranks, preds = _relax_max_product(values)
     except ImprovingCycleExists as found:
         return "cycle", found.cycle
-    return ranks.ranks, preds
+    return ranks, preds
 
 
 def small_relaxation_instance(rng):
@@ -450,7 +459,7 @@ class TestIntegerRelaxation:
             listed.clear()
             ranks = _relax_max_product(values)[0]
             bound = len(strict_envy_edges(instance, allocation)) + 39 * sum(
-                rank != 1 for rank in ranks.ranks
+                rank != 1 for rank in ranks
             )
             positive = sum(v > 0 for row in values for v in row) - sum(
                 values[i][i] > 0 for i in range(40)

@@ -17,8 +17,7 @@ from fairalloc import (
     solve_efr,
     solve_efx,
 )
-from fairalloc.algorithms import AgentGroups, CycleRotated, GroupsAssigned, SourcePick
-from fairalloc.envy import EnvyRanks
+from fairalloc.algorithms import AgentGroups, CycleRotated, SourcePick
 from fairalloc.files import (
     GenSpec,
     _event_to_dict,
@@ -267,13 +266,13 @@ def random_event(rng: random.Random, n: int, m: int):
             INF if rng.randrange(4) == 0 else Fraction(rng.randrange(100), rng.randrange(1, 9))
             for _ in range(n)
         )
-        return MatchingDone(allocation, EnvyRanks(ranks))
+        return MatchingDone(allocation, ranks)
     if kind == 1:
         mode = rng.choice([FairnessNotion.EFR, FairnessNotion.EFX])
         groups = [set(), set(), set()]
         for agent in range(n):
             groups[rng.randrange(3 if mode is FairnessNotion.EFR else 2)].add(agent)
-        return GroupsAssigned(AgentGroups(mode, *map(frozenset, groups)))
+        return AgentGroups(mode, *map(frozenset, groups))
     if kind == 2:
         return Pick(rng.randrange(n), rng.randrange(m), random_text(rng))
     if kind == 3:
@@ -296,7 +295,7 @@ class TestTraceFiles:
         n, m = rng.randint(2, 12), rng.randint(2, 1000)
         trace = [random_event(rng, n, m) for _ in range(60)]
         assert {type(e) for e in trace} == {
-            MatchingDone, GroupsAssigned, Pick, CycleRotated, SourcePick, InvariantChecked
+            MatchingDone, AgentGroups, Pick, CycleRotated, SourcePick, InvariantChecked
         }
         text = trace_to_lines(trace)
         assert text.encode() == reference_lines(trace).encode()
@@ -476,6 +475,19 @@ class TestGeneration:
         read as 1, zeroing every value."""
         with pytest.raises(ValueError, match=f"zero_probability {zero!r} is not an int"):
             GenSpec(2, 3, 0, 10, zero, 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("agents", True), ("items", 3.0), ("low", False), ("high", 10.0), ("seed", 1.5),
+         ("seed", True)],
+    )
+    def test_an_integer_field_that_is_not_an_int_raises(self, field, value):
+        """True would read as 1 agent, a float seed would be hashed, and a
+        float high would fail only inside `generate_instance`."""
+        fields = dict(agents=2, items=3, low=0, high=10, zero_probability=Fraction(0), seed=1)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} {value!r} is not an int"):
+            GenSpec(**fields)
 
     def test_an_int_zero_probability_draws_as_its_fraction(self):
         for zero in (0, 1):

@@ -25,7 +25,7 @@ from fairalloc import (
     topological_order,
     verify_nsw_certificate,
 )
-from fairalloc.envy import EnvyRanks, _value_matrix
+from fairalloc.envy import _value_matrix
 from fairalloc.files import random_instances
 from fairalloc.matching import (
     _find_pool_violation,
@@ -486,7 +486,7 @@ class TestPoolViolation:
                     ties += 1
                 else:
                     ranks.append(Fraction(rng.randint(4, 12), 4))
-            ranks = EnvyRanks(tuple(ranks))
+            ranks = tuple(ranks)
             expected = reference_pool_violation(instance, allocation, ranks)
             values = _value_matrix(instance.rows, allocation.bundles)
             items = [item for (item,) in bundles]
@@ -503,7 +503,7 @@ class TestPoolViolation:
         rank 3/2 the pool value 3 breaks it (4.5 > 4) and 2 does not."""
         instance = Instance.from_rows([[4, 10, 2, 3], [1, 5, 1, 1]])
         allocation = Allocation.of([[0], [1]], 4)
-        ranks = EnvyRanks((rank, Fraction(1)))
+        ranks = (rank, Fraction(1))
         values = _value_matrix(instance.rows, allocation.bundles)
         assert reference_pool_violation(instance, allocation, ranks) == expected
         assert _find_pool_violation(instance, [0, 1], values, ranks) == expected
@@ -584,7 +584,7 @@ class TestMatchingProperties:
             graph = build_envy_ratio_graph(instance, result.allocation)
             assert find_improving_cycle(graph) is None
             ranks = envy_ranks(graph)
-            assert ranks.ranks == result.ranks.ranks
+            assert ranks == result.ranks
             for agent in range(instance.agent_count):
                 own = bundle_value(instance, agent, result.allocation.bundles[agent])
                 for item in result.allocation.remaining:
