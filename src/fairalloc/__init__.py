@@ -39,7 +39,6 @@ from .errors import (
     CyclicEnvyGraph,
     FairAllocError,
     ImprovingCycleExists,
-    InfiniteRank,
     InstanceTooSmall,
     InternalGuaranteeViolated,
     InvalidAllocation,

@@ -21,15 +21,16 @@ Every comparison against one of these constants, irrational or not, goes
 through `model.compare_scaled`, which decides it exactly in integers.
 
 `_solve` calls the public steps by their module-global names:
-`nsw_matching`, `topological_order` over `strict_envy_edges`,
-`refine_step2` and `envy_cycle_elimination`. Only an `Allocation`,
-validated by `Allocation.of`, passes between them; inside a step the
-bundles are item lists and the pool a sorted list.
+`nsw_matching`, `partition_groups`, `topological_order` over the envy masks
+of `strict_envy_edges`, `refine_step2` and `envy_cycle_elimination`, which
+searches its masks with `find_envy_cycle`. Only an `Allocation`, validated
+by `Allocation.of`, passes between the steps; inside a step the bundles are
+item lists and the pool a sorted list.
 
 Every run produces a trace. Its first two events are the results of the
 first two steps, recorded as they are returned: the `MatchingDone` of
 `nsw_matching` (the matching and its envy ranks) and the `AgentGroups` of
-`_partition_groups`. Each pick and rotation follows (replaying those on the
+`partition_groups`. Each pick and rotation follows (replaying those on the
 matching reproduces the output allocation exactly), plus the outcomes of
 the mid-run invariant checks. The checks are switchable -- they are the
 main verification payload but cost a factor evaluation per step -- and a
@@ -45,17 +46,16 @@ from operator import itemgetter
 from .envy import (
     Cycle,
     EnvyRanks,
-    _envy_cycle_in_masks,
     _envy_mask,
     _envy_masks,
     _on_cycle,
     _value_matrix,
-    find_envy_cycle,  # noqa: F401 -- perfbench/spans.py times this binding
+    find_envy_cycle,
     rotate_bundles,
     strict_envy_edges,
     topological_order,
 )
-from .errors import InfiniteRank, InternalGuaranteeViolated
+from .errors import InternalGuaranteeViolated
 from .matching import MatchingDone, nsw_matching, verify_nsw_certificate
 from .model import (
     Allocation,
@@ -138,19 +138,13 @@ class AgentGroups:
 
 
 def partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
-    """Split agents by rank: above the mode's top threshold, middle, rest.
+    """Split agents by rank: each joins the first group whose cut (top
+    first) its rank exceeds, or the last group.
 
-    Ranks must be finite. An infinite rank is only reachable through the
-    zero-value weight conventions; the solvers place such agents in the
-    top group themselves (their bundles must stay singletons), but this
-    operation refuses to guess.
+    An infinite rank, reachable only through the zero-value weight
+    conventions, exceeds every cut and joins g1, whose bundles stay
+    singletons.
     """
-    if any(is_infinite(r) for r in ranks):
-        raise InfiniteRank("group membership is undefined for an infinite rank")
-    return _partition_groups(ranks, mode)
-
-
-def _partition_groups(ranks: EnvyRanks, mode: FairnessNotion) -> AgentGroups:
     cuts = _mode_spec(mode).cuts
     groups: list[set[int]] = [set() for _ in range(3)]
     for agent, rank in enumerate(ranks):
@@ -318,9 +312,9 @@ def envy_cycle_elimination(
     recomputes every mask. The source is the lowest bit set in no mask.
     Before a pick the graph is acyclic; the pick adds edges into the source
     only and removes edges out of it only, so any cycle it closes passes
-    through the source. The cycle search therefore runs after a pick only
-    when the source is now envied and reaches itself along the masks;
-    anywhere else it would return None.
+    through the source. The cycle search (`find_envy_cycle`) therefore
+    runs after a pick only when the source is now envied and reaches
+    itself along the masks; anywhere else it would return None.
 
     With `mode` set (EFR or EFX), the exact checker re-verifies the mode's
     threshold factor on its own integer view of the instance after every
@@ -347,7 +341,7 @@ def envy_cycle_elimination(
     masks = _envy_masks(values)
     search = True  # the starting allocation may hold cycles
     while pool:
-        while search and (cycle := _envy_cycle_in_masks(masks)) is not None:
+        while search and (cycle := find_envy_cycle(masks)) is not None:
             successors = cycle[1:] + cycle[:1]
             for row in [*values, bundles]:  # the bundles move as the columns do
                 for agent, value in zip(cycle, [row[j] for j in successors]):
@@ -453,11 +447,9 @@ def _solve(
             verify_nsw_certificate(instance, matching.allocation),
         )
 
-    groups = _partition_groups(matching.ranks, mode)
+    groups = partition_groups(matching.ranks, mode)
     trace.append(groups)
-    order = topological_order(
-        instance.agent_count, strict_envy_edges(instance, matching.allocation)
-    )
+    order = topological_order(strict_envy_edges(instance, matching.allocation))
 
     refined = refine_step2(instance, matching.allocation, groups, order, trace)
     if check:

@@ -27,15 +27,20 @@ rank ends above 1, not all n(n-1) ratios. `_value_matrix` is the one place
 a matrix is summed from bundles, for the public queries and for completion;
 the matching reads its one-item matrices off the matched items' entries.
 
-The strict-envy graph is one Python int per agent: bit j of masks[i] is set
-iff values[i][j] > values[i][i] (`_envy_masks`). The solvers' order step
-reads the matching's edges through `strict_envy_edges`; completion builds
-masks from the matrix it sums and keeps them up to date. There is one
-strict-envy cycle search, `_envy_cycle_in_masks`, a depth-first search.
-Completion searches again after a pick only when `_on_cycle` finds the
-picking agent on a cycle: the graph was acyclic before the pick, and a pick
-only adds edges into the picking agent and only removes edges out of it, so
-every cycle it closes passes through that agent.
+The strict-envy graph has one encoding, one Python int per agent: bit j
+of masks[i] is set iff values[i][j] > values[i][i] (`_envy_masks`).
+`strict_envy_edges` returns the masks of an allocation, and
+`topological_order` and `find_envy_cycle` take masks, which both check
+first (`_check_masks`). The solvers' order step is
+`topological_order(strict_envy_edges(...))` on the matching; completion
+builds masks from the matrix it sums, keeps them up to date, and searches
+them with `find_envy_cycle`, the one strict-envy cycle search, a
+depth-first search. Completion searches again after a pick only when
+`_on_cycle` finds the picking agent on a cycle: the graph was acyclic
+before the pick, and a pick only adds edges into the picking agent and
+only removes edges out of it, so every cycle it closes passes through that
+agent. `_bits` walks the set bits of a mask for `topological_order` and
+`_on_cycle`.
 """
 
 from __future__ import annotations
@@ -276,52 +281,55 @@ def max_product_path(graph: EnvyRatioGraph, agent: int) -> list[int]:
     return _predecessor_path(preds, agent)
 
 
-def topological_order(
-    agent_count: int, edges: Iterable[tuple[int, int]]
-) -> tuple[int, ...]:
-    """Order agents so every envy edge (i, j) puts i before j.
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a non-negative mask, as indices, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _check_masks(masks: Sequence[int]) -> None:
+    """Raise ValueError unless every mask is an int (not a bool) whose set
+    bits are agents of range(n): a negative mask never runs out of bits."""
+    n = len(masks)
+    if masks and ({*map(type, masks)} != {int} or min(masks) < 0 or max(masks) >> n):
+        i = next(i for i, m in enumerate(masks) if type(m) is not int or m < 0 or m >> n)
+        raise ValueError(f"envy mask {masks[i]!r} of agent {i} is not a subset of range({n})")
+
+
+def topological_order(masks: Sequence[int]) -> tuple[int, ...]:
+    """Order agents so every strict-envy edge i -> j (bit j of masks[i])
+    puts i before j.
 
     Kahn's construction with a min-heap of ready agents, so the smallest
-    available index is always emitted first. An edge naming an agent outside
-    range(agent_count) raises ValueError.
+    available index is always emitted first. Raises ValueError for masks
+    that fail `_check_masks`, and CyclicEnvyGraph when no order exists.
     """
-    edge_set = set(edges)
-    successors: dict[int, list[int]] = {i: [] for i in range(agent_count)}
-    in_degree = [0] * agent_count
-    for i, j in sorted(edge_set):
-        if not (0 <= i < agent_count and 0 <= j < agent_count):
-            raise ValueError(f"edge {(i, j)} names an agent outside range({agent_count})")
-        successors[i].append(j)
-        in_degree[j] += 1
-    ready = [i for i in range(agent_count) if in_degree[i] == 0]
-    heapq.heapify(ready)
+    _check_masks(masks)
+    in_degree = [0] * len(masks)
+    for mask in masks:
+        for j in _bits(mask):
+            in_degree[j] += 1
+    ready = [i for i, degree in enumerate(in_degree) if not degree]  # sorted: a heap
     order: list[int] = []
     while ready:
         agent = heapq.heappop(ready)
         order.append(agent)
-        for nxt in successors[agent]:
+        for nxt in _bits(masks[agent]):
             in_degree[nxt] -= 1
-            if in_degree[nxt] == 0:
+            if not in_degree[nxt]:
                 heapq.heappush(ready, nxt)
-    if len(order) != agent_count:
+    if len(order) != len(masks):
         raise CyclicEnvyGraph("strict envy graph contains a cycle")
     return tuple(order)
 
 
-def strict_envy_edges(instance: Instance, allocation: Allocation) -> set[tuple[int, int]]:
-    """Pairs (i, j) where i strictly prefers j's bundle to its own, read off
-    the envy masks of the allocation's value matrix (`_checked_values`)."""
-    return set(_mask_edges(_envy_masks(_checked_values(instance, allocation))))
-
-
-def find_envy_cycle(instance: Instance, allocation: Allocation) -> Cycle | None:
-    """Some directed cycle of strict envy, or None if the envy graph is acyclic.
-
-    Sums the allocation's bundles on `Instance.rows` (`_checked_values`),
-    turns the matrix into one envy mask per agent (`_envy_masks`) and
-    searches those with `_envy_cycle_in_masks`.
-    """
-    return _envy_cycle_in_masks(_envy_masks(_checked_values(instance, allocation)))
+def strict_envy_edges(instance: Instance, allocation: Allocation) -> list[int]:
+    """The strict-envy graph as envy masks: bit j of masks[i] is set iff
+    agent i strictly prefers j's bundle to its own, read off the
+    allocation's value matrix (`_checked_values`)."""
+    return _envy_masks(_checked_values(instance, allocation))
 
 
 def _envy_masks(values: Sequence[Sequence[Fraction | int]]) -> list[int]:
@@ -339,25 +347,18 @@ def _envy_mask(row: Sequence[Fraction | int], agent: int) -> int:
     return mask
 
 
-def _mask_edges(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The strict-envy pairs (i, j) of envy masks, in ascending order."""
-    for i, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            yield i, low.bit_length() - 1
-            mask ^= low
-
-
-def _envy_cycle_in_masks(masks: Sequence[int]) -> Cycle | None:
-    """The strict-envy cycle search on envy masks (bit j of masks[i] set iff
-    agent i envies agent j); the first cycle found, or None.
+def find_envy_cycle(masks: Sequence[int]) -> Cycle | None:
+    """The first strict-envy cycle of the envy masks (bit j of masks[i] set
+    iff agent i envies agent j), or None if the graph is acyclic.
 
     Depth-first search starting from the smallest agent index, visiting
     neighbours in ascending order: an open agent's next neighbour is the
     lowest set bit of its unvisited neighbours that is not yet done. The
     search keeps its own stack, so the length of an envy chain is not
-    bounded by the recursion limit.
+    bounded by the recursion limit. Raises ValueError for masks that fail
+    `_check_masks`.
     """
+    _check_masks(masks)
     done = 0
     for start in range(len(masks)):
         if done >> start & 1:
@@ -390,10 +391,8 @@ def _on_cycle(masks: Sequence[int], agent: int) -> bool:
     reach = frontier = masks[agent]
     while frontier and not reach >> agent & 1:
         step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= masks[low.bit_length() - 1]
-            frontier ^= low
+        for j in _bits(frontier):
+            step |= masks[j]
         frontier = step & ~reach
         reach |= frontier
     return bool(reach >> agent & 1)

@@ -31,10 +31,6 @@ class CyclicEnvyGraph(FairAllocError):
     """A topological order is requested but the strict envy graph has a cycle."""
 
 
-class InfiniteRank(FairAllocError):
-    """Group partitioning is only defined for finite envy ranks."""
-
-
 class LimitExceeded(FairAllocError):
     """A brute-force oracle refused to enumerate past its configured limits."""
 

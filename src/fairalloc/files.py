@@ -45,6 +45,7 @@ from .model import (
     Instance,
     _rows_and_scales,
     is_infinite,
+    parse_rational,
 )
 
 
@@ -52,15 +53,6 @@ def format_rational(value: Fraction | int) -> int | str:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(raw: int | str) -> Fraction:
-    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-        raise InvalidInstance(f"expected an integer or 'p/q' string, got {raw!r}")
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInstance(f"bad rational {raw!r}: {exc}") from exc
 
 
 def format_extended(value: ExtendedRational) -> int | str:
@@ -125,7 +117,7 @@ def instance_from_json(text: str) -> Instance:
     rows = doc["valuations"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInstance("'valuations' must be a list of rows")
-    instance = Instance(*_rows_and_scales(rows, parse_rational))
+    instance = Instance(*_rows_and_scales(rows))
     n, m = doc.get("n"), doc.get("m")
     for field, declared in (("n", n), ("m", m)):
         if declared is not None and type(declared) is not int:

@@ -36,7 +36,7 @@ per agent, so nothing is summed). No `EnvyRatioGraph` is built, and the
 relaxation lists only the envy ratios that can raise a rank
 (`envy._relax_max_product`): on a matching with few envious agents it
 costs little more than their edges.
-The solvers' order step reads the certified matching's strict-envy edges
+The solvers' order step reads the certified matching's envy masks
 through `envy.strict_envy_edges`, which sums the one-item bundles.
 
 Each repair move strictly increases the lexicographic objective (number of

@@ -29,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -113,20 +113,32 @@ GOLDEN_RATIO_MINUS_ONE = Threshold.GOLDEN_RATIO_MINUS_ONE
 _INT_ONLY = {int}
 
 
+def parse_rational(raw: int | str | Fraction) -> Fraction:
+    """An input value as a `Fraction`: an int (not a bool), a `Fraction`, or
+    a string `Fraction` reads, such as "p/q". Anything else, or a string
+    that is no rational, raises InvalidInstance."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str, Fraction)):
+        raise InvalidInstance(f"expected an integer or 'p/q' string, got {raw!r}")
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInstance(f"bad rational {raw!r}: {exc}") from exc
+
+
 def _rows_and_scales(
-    rows: Iterable[Iterable[object]], convert: Callable[[object], Fraction]
+    rows: Iterable[Iterable[object]]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Input rows as an `Instance` stores them: (rows, scales), each row a
     tuple of ints x with value x / scale. A row of ints only (`type(v) is
     int`, so not a bool) is kept with scale 1 and builds no `Fraction`; any
-    other row becomes `convert` of each value, times the LCM of the
+    other row becomes `parse_rational` of each value, times the LCM of the
     reduced denominators. Every row is converted before any is validated."""
     stored, scales = [], []
     for row in map(tuple, rows):
         if {*map(type, row)} == _INT_ONLY:
             scale = 1
         else:
-            pairs = [convert(v).as_integer_ratio() for v in row]
+            pairs = [parse_rational(v).as_integer_ratio() for v in row]
             scale = math.lcm(*(q for _, q in pairs))
             row = tuple(p * (scale // q) for p, q in pairs)
         stored.append(row)
@@ -171,8 +183,9 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
-        """An instance from rows of ints, "p/q" strings or `Fraction`s."""
-        return cls(*_rows_and_scales(rows, Fraction))
+        """An instance from rows of ints, "p/q" strings or `Fraction`s, read
+        as instance files read them (`parse_rational`)."""
+        return cls(*_rows_and_scales(rows))
 
     @property
     def agent_count(self) -> int:

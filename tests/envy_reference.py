@@ -1,17 +1,24 @@
 """Test-only references for `fairalloc.envy`.
 
 `reference_envy_cycle` is a list-based strict-envy cycle search, the
-reference for the bitset search `fairalloc.envy._envy_cycle_in_masks` over
-the masks of `fairalloc.envy._envy_masks`. It
-shares no code with the package: successor lists are rebuilt from the value
-matrix on every call, and the cycle is rotated here.
+reference for the bitset search `fairalloc.envy.find_envy_cycle` over the
+masks of `fairalloc.envy._envy_masks`. It shares no code with the package:
+successor lists are rebuilt from the value matrix on every call, and the
+cycle is rotated here.
+
+`reference_topological_order` is the pair-based Kahn construction that
+`fairalloc.envy.topological_order` ran before it read envy masks: a set of
+(i, j) edges, sorted into successor lists, and a min-heap of ready agents.
+It is the reference for the mask-based construction.
 
 `product` and `cycle_weights` multiply envy-ratio weights exactly, as
 `Fraction`s and INF, to check the package's integer relaxation against.
 """
 
+import heapq
 from fractions import Fraction
 
+from fairalloc import CyclicEnvyGraph
 from fairalloc.model import INF, is_infinite
 
 
@@ -69,3 +76,26 @@ def reference_envy_cycle(values):
                 color[path.pop()] = 2
                 pending.pop()
     return None
+
+
+def reference_topological_order(agent_count, edges):
+    """Agents ordered so every edge (i, j) puts i before j, smallest ready
+    agent first; CyclicEnvyGraph when the edges hold a cycle."""
+    successors = {i: [] for i in range(agent_count)}
+    in_degree = [0] * agent_count
+    for i, j in sorted(set(edges)):
+        successors[i].append(j)
+        in_degree[j] += 1
+    ready = [i for i in range(agent_count) if in_degree[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        agent = heapq.heappop(ready)
+        order.append(agent)
+        for nxt in successors[agent]:
+            in_degree[nxt] -= 1
+            if in_degree[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    if len(order) != agent_count:
+        raise CyclicEnvyGraph("strict envy graph contains a cycle")
+    return tuple(order)

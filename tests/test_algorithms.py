@@ -15,7 +15,6 @@ from fairalloc import (
     SQRT3_MINUS_ONE,
     Allocation,
     FairnessNotion,
-    InfiniteRank,
     Instance,
     InstanceTooSmall,
     InternalGuaranteeViolated,
@@ -100,9 +99,14 @@ class TestPartitionGroups:
         assert groups.g1 == {1}  # (2*9/5 - 1)^2 = 169/25 > 5
         assert groups.g3 == frozenset()
 
-    def test_infinite_rank_is_rejected(self):
-        with pytest.raises(InfiniteRank):
-            partition_groups(ranks_of(1, INF), EFR)
+    def test_infinite_rank_joins_g1(self):
+        # an infinite rank exceeds every cut, as the solvers place it
+        assert partition_groups(ranks_of(1, INF), EFR) == AgentGroups(
+            EFR, g1=frozenset({1}), g2=frozenset(), g3=frozenset({0})
+        )
+        assert partition_groups(ranks_of(1, INF), EFX) == AgentGroups(
+            EFX, g1=frozenset({1}), g2=frozenset({0})
+        )
 
     def test_partition_is_a_partition(self):
         for _, instance in random_instances(40, (2, 6), (2, 10), 0, 50, (Fraction(0),), seed=5):
@@ -372,9 +376,10 @@ class TestCompletionAgainstReference:
 class TestCompletionWork:
     def test_one_cycle_search_and_one_mask_per_pick_without_rotations(self, monkeypatch):
         """Only completion picks through `_take`, which updates the
-        strict-envy masks in O(n) per pick, and the full cycle search runs
-        again only when a pick can have closed a cycle: with no rotation in
-        the trace that is the one search at the start. An EFR solve with
+        strict-envy masks in O(n) per pick, and the full cycle search
+        (`find_envy_cycle`, through `algorithms`' global) runs again only
+        when a pick can have closed a cycle: with no rotation in the trace
+        that is the one search at the start. An EFR solve with
         m = 4n makes 2n refinement picks and n source picks, so a count of
         `_take` calls tells the two steps apart."""
         import fairalloc.algorithms as algorithms
@@ -389,10 +394,10 @@ class TestCompletionWork:
 
             return wrapper
 
-        search = counted("search", envy._envy_cycle_in_masks)
+        search = counted("search", algorithms.find_envy_cycle)
+        monkeypatch.setattr(algorithms, "find_envy_cycle", search)
         mask = counted("mask", envy._envy_mask)
         for module in (envy, algorithms):
-            monkeypatch.setattr(module, "_envy_cycle_in_masks", search)
             monkeypatch.setattr(module, "_envy_mask", mask)
         monkeypatch.setattr(algorithms, "_take", counted("take", algorithms._take))
         instance = generate_instance(GenSpec(40, 160, 0, 100, Fraction(1, 10), 1))
@@ -636,9 +641,9 @@ class TestCompletionWork:
         assert sum(bool(allocation.remaining) for allocation in starts) > 100
         with_edges = 0
         for instance, matched, order in orders:
-            edges = strict_envy_edges(instance, matched)
-            assert order == topological_order(instance.agent_count, edges)
-            with_edges += bool(edges)
+            masks = strict_envy_edges(instance, matched)
+            assert order == topological_order(masks)
+            with_edges += any(masks)
         assert with_edges > 0
 
 
@@ -701,8 +706,9 @@ class TestSolvers:
         # solvers must still deliver the guarantee (singleton bundles here).
         instance = Instance.from_rows([[5, 0], [7, 0]])
         result = nsw_matching(instance)
-        with pytest.raises(InfiniteRank):
-            partition_groups(result.ranks, EFR)
+        infinite = {i for i, rank in enumerate(result.ranks) if rank == INF}
+        assert len(infinite) == 1
+        assert partition_groups(result.ranks, EFR).g1 == infinite
         for solver, threshold, notion in (
             (solve_efr, SQRT3_MINUS_ONE, EFR),
             (solve_efx, GOLDEN_RATIO_MINUS_ONE, EFX),
@@ -888,10 +894,12 @@ class TestTraceReplay:
 
     @pytest.mark.parametrize("mode, solver", [(EFR, solve_efr), (EFX, solve_efx)])
     def test_first_two_events_are_the_step_results(self, four_by_four, mode, solver):
-        _, trace = solver(four_by_four, check=False)
-        assert trace[0] == nsw_matching(four_by_four)
-        assert trace[1] == partition_groups(trace[0].ranks, mode)
-        assert type(trace[0].ranks) is tuple
+        # the second instance has an infinite rank
+        for instance in (four_by_four, Instance.from_rows([[5, 0], [7, 0]])):
+            _, trace = solver(instance, check=False)
+            assert trace[0] == nsw_matching(instance)
+            assert trace[1] == partition_groups(trace[0].ranks, mode)
+            assert type(trace[0].ranks) is tuple
 
     @pytest.mark.parametrize(
         "line",

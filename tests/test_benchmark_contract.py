@@ -3,11 +3,9 @@ its recorded inputs must keep coming out of the seeded generator.
 
 `perfbench/spans.py` times and counts calls by wrapping module-level names
 of `fairalloc`; a metric none of whose names exists reads `absent`. This
-pins every span and count to at least one name that resolves, which is
-why, for example, `algorithms` still imports `find_envy_cycle` after
-completion stopped calling it. A solve must also call through the names a
-span wraps: a binding that resolves but that the pipeline no longer calls
-reads 0.
+pins every span and count to at least one name that resolves. A solve must
+also call through the names a span wraps: a binding that resolves but that
+the pipeline no longer calls reads 0.
 """
 
 import hashlib
@@ -49,18 +47,13 @@ def test_every_metric_binds_to_a_fairalloc_name(name):
 
 def test_a_solve_feeds_every_pipeline_span():
     """A checks-on EFX solve whose refinement leaves a pool calls every
-    span's binding, except `envy.find_envy_cycle`: completion searches its
-    own incremental masks."""
+    span's binding: completion searches its masks with `find_envy_cycle`."""
     instance = generate_instance(GenSpec(6, 18, 0, 100, Fraction(1, 10), 3))
     tracer = SPANS.Tracer()
     with tracer.installed():
         _, trace = algorithms.solve_efx(instance, check=True)
     assert any(isinstance(e, algorithms.SourcePick) for e in trace)
-    silent = [
-        name
-        for name in SPANS.SPAN_TARGETS
-        if name != "envy.find_envy_cycle" and tracer.calls[name] == 0
-    ]
+    silent = [name for name in SPANS.SPAN_TARGETS if tracer.calls[name] == 0]
     assert silent == []
 
 

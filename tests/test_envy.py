@@ -1,6 +1,5 @@
 import inspect
 import random
-import re
 import sys
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ from fairalloc import (
 from fairalloc import envy
 from fairalloc.envy import (
     _cycle_from_predecessors,
-    _envy_cycle_in_masks,
     _envy_masks,
     _relax_max_product,
     _value_matrix,
@@ -36,7 +34,12 @@ from fairalloc.envy import (
 from fairalloc.files import GenSpec, generate_instance
 from fairalloc.oracle import oracle_envy_rank, oracle_improving_cycle
 
-from envy_reference import cycle_weights, product, reference_envy_cycle
+from envy_reference import (
+    cycle_weights,
+    product,
+    reference_envy_cycle,
+    reference_topological_order,
+)
 
 
 def random_matching_graph(rng: random.Random):
@@ -54,6 +57,22 @@ def random_matching_graph(rng: random.Random):
     rng.shuffle(items)
     allocation = Allocation.of([[items[i]] for i in range(n)], m)
     return instance, allocation
+
+
+def masks_of(n, *pairs):
+    """The envy masks of n agents whose strict-envy pairs are (i, j)."""
+    masks = [0] * n
+    for i, j in pairs:
+        masks[i] |= 1 << j
+    return masks
+
+
+def edge_count(masks):
+    return sum(mask.bit_count() for mask in masks)
+
+
+def envy_cycle(instance, allocation):
+    return find_envy_cycle(strict_envy_edges(instance, allocation))
 
 
 class TestGraphConstruction:
@@ -135,28 +154,29 @@ class TestGraphConstruction:
 
 class TestEnvyEdges:
     def test_4x4_identity(self, four_by_four, identity_allocation):
-        assert strict_envy_edges(four_by_four, identity_allocation) == {(1, 0), (2, 1)}
+        assert strict_envy_edges(four_by_four, identity_allocation) == masks_of(4, (1, 0), (2, 1))
 
     def test_no_strict_envy(self):
         instance = Instance.from_rows([[1, 1], [1, 1]])
-        assert strict_envy_edges(instance, Allocation.of([[0], [1]], 2)) == set()
+        assert strict_envy_edges(instance, Allocation.of([[0], [1]], 2)) == [0, 0]
 
     def test_2x5_nsw_allocation(self, two_by_five):
         allocation = Allocation.of([[0, 1, 2], [3, 4]], 5)
-        assert strict_envy_edges(two_by_five, allocation) == {(1, 0)}
+        assert strict_envy_edges(two_by_five, allocation) == masks_of(2, (1, 0))
 
     def test_zero_own_value_envies_a_positive_rival_only(self):
         instance = Instance.from_rows([[0, 5, 0], [1, 1, 0], [0, 0, 0]])
         allocation = Allocation.of([[0], [1], [2]], 3)
-        assert strict_envy_edges(instance, allocation) == {(0, 1)}
+        assert strict_envy_edges(instance, allocation) == masks_of(3, (0, 1))
 
     def test_edges_are_the_ratios_above_one(self):
         rng = random.Random(8)
         for _ in range(100):
             instance, allocation = random_matching_graph(rng)
             graph = build_envy_ratio_graph(instance, allocation)
-            expected = {pair for pair in graph.pairs() if graph.weight(*pair) > 1}
-            assert strict_envy_edges(instance, allocation) == expected
+            expected = [pair for pair in graph.pairs() if graph.weight(*pair) > 1]
+            masks = masks_of(graph.agent_count, *expected)
+            assert strict_envy_edges(instance, allocation) == masks
 
 
 class TestImprovingCycles:
@@ -458,7 +478,7 @@ class TestIntegerRelaxation:
             values = _value_matrix(instance.rows, allocation.bundles)
             listed.clear()
             ranks = _relax_max_product(values)[0]
-            bound = len(strict_envy_edges(instance, allocation)) + 39 * sum(
+            bound = edge_count(strict_envy_edges(instance, allocation)) + 39 * sum(
                 rank != 1 for rank in ranks
             )
             positive = sum(v > 0 for row in values for v in row) - sum(
@@ -469,45 +489,80 @@ class TestIntegerRelaxation:
 
 class TestTopologicalOrder:
     def test_4x4_identity_edges(self):
-        assert topological_order(4, {(1, 0), (2, 1)}) == (2, 1, 0, 3)
+        assert topological_order(masks_of(4, (1, 0), (2, 1))) == (2, 1, 0, 3)
 
     def test_empty_edges_is_index_order(self):
-        assert topological_order(4, set()) == (0, 1, 2, 3)
+        assert topological_order([0, 0, 0, 0]) == (0, 1, 2, 3)
 
     def test_single_constraint(self):
-        assert topological_order(2, {(0, 1)}) == (0, 1)
+        assert topological_order(masks_of(2, (0, 1))) == (0, 1)
 
     def test_cycle_rejected(self):
         with pytest.raises(CyclicEnvyGraph):
-            topological_order(2, {(0, 1), (1, 0)})
+            topological_order(masks_of(2, (0, 1), (1, 0)))
 
     def test_out_of_range_agents_rejected(self):
-        """An edge naming an agent outside range(agent_count) is rejected by
-        name. A negative index must not alias an agent: -3 would be agent 0
-        of three, and {(1, 0), (0, -3)} would look cyclic."""
-        cases = [
-            ({(0, 5)}, (0, 5)),
-            ({(-1, 0)}, (-1, 0)),
-            ({(1, -3)}, (1, -3)),
-            ({(1, 0), (0, -3)}, (0, -3)),
-        ]
-        for edges, named in cases:
-            with pytest.raises(ValueError, match=re.escape(f"edge {named} ")):
-                topological_order(3, edges)
-        assert topological_order(3, {(2, 0), (0, 1)}) == (2, 0, 1)
+        """A mask with a bit outside range(n) is rejected by agent. A
+        negative mask must not alias agents: its bits never run out, so a
+        walk over them would not end."""
+        cases = [([0, 1 << 5, 0], 1), ([-1, 0, 0], 0), ([0, 1, -3], 2), ([0, 1, 1 << 3], 2)]
+        for masks, agent in cases:
+            with pytest.raises(ValueError, match=f"of agent {agent} is not a subset of range"):
+                topological_order(masks)
+        assert topological_order(masks_of(3, (2, 0), (0, 1))) == (2, 0, 1)
+
+    def test_same_order_as_the_pair_kahn(self):
+        """On random masks of 1-12 agents, empty graphs, graphs with many
+        agents ready at once and cyclic graphs included, the order is the
+        pair-based construction's, and both raise on a cycle."""
+        rng = random.Random(29)
+        outcomes = {"empty": 0, "order": 0, "cycle": 0}
+        for trial in range(1500):
+            n = rng.randint(1, 12)
+            hidden = rng.sample(range(n), n)  # even trials keep edges along it
+            density = rng.choice((0.0, 0.1, 0.3, 0.6, 0.9))
+            pairs = {
+                (i, j)
+                for i in range(n)
+                for j in range(n)
+                if i != j
+                and rng.random() < density
+                and (trial % 2 or hidden[i] < hidden[j])
+            }
+            masks = masks_of(n, *pairs)
+            try:
+                expected = reference_topological_order(n, pairs)
+            except CyclicEnvyGraph:
+                with pytest.raises(CyclicEnvyGraph):
+                    topological_order(masks)
+                outcomes["cycle"] += 1
+            else:
+                assert topological_order(masks) == expected
+                outcomes["order" if pairs else "empty"] += 1
+        assert min(outcomes.values()) > 200, outcomes
+
+
+class TestMaskChecks:
+    @pytest.mark.parametrize("search", [topological_order, find_envy_cycle])
+    @pytest.mark.parametrize(
+        "masks", [[-1], [0b100, 0], [True], [1.0]], ids=["negative", "bit-2-of-2", "bool", "float"]
+    )
+    def test_a_mask_that_is_no_set_of_agents_is_refused(self, search, masks):
+        with pytest.raises(ValueError, match="of agent 0 is not a subset of range"):
+            search(masks)
 
 
 class TestEnvyCycles:
     def test_mutual_envy(self):
         instance = Instance.from_rows([[1, 5], [5, 1]])
-        assert find_envy_cycle(instance, Allocation.of([[0], [1]], 2)) == (0, 1)
+        assert envy_cycle(instance, Allocation.of([[0], [1]], 2)) == (0, 1)
 
     def test_envy_free_allocation(self):
         instance = Instance.from_rows([[5, 1], [1, 5]])
-        assert find_envy_cycle(instance, Allocation.of([[0], [1]], 2)) is None
+        assert envy_cycle(instance, Allocation.of([[0], [1]], 2)) is None
 
     def test_4x4_identity_is_acyclic(self, four_by_four, identity_allocation):
-        assert find_envy_cycle(four_by_four, identity_allocation) is None
+        assert envy_cycle(four_by_four, identity_allocation) is None
 
     def test_search_order_decides_between_cycles(self):
         # Identity allocation with strict envy 0->1, 0->2, 1->2, 2->0, 2->3,
@@ -517,7 +572,7 @@ class TestEnvyCycles:
             [[10, 20, 20, 1], [1, 10, 20, 1], [20, 1, 10, 20], [1, 20, 1, 10]]
         )
         allocation = Allocation.of([[0], [1], [2], [3]], 4)
-        assert find_envy_cycle(instance, allocation) == (0, 1, 2)
+        assert envy_cycle(instance, allocation) == (0, 1, 2)
 
     def test_long_envy_chain_needs_no_deep_recursion(self):
         # Agent i envies only agent i+1; the last agent envies agent 0. The
@@ -532,24 +587,25 @@ class TestEnvyCycles:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:
-            assert find_envy_cycle(instance, allocation) == tuple(range(n))
+            assert envy_cycle(instance, allocation) == tuple(range(n))
         finally:
             sys.setrecursionlimit(limit)
 
     def test_public_search_over_an_1100_agent_chain(self):
         # Past the default recursion limit through the public API alone:
-        # `Instance.from_rows` builds the chain, `find_envy_cycle` searches
-        # it. Agent i envies only agent i+1; without the last agent's envy of
-        # agent 0 the graph is acyclic.
+        # `Instance.from_rows` builds the chain, `strict_envy_edges` reads its
+        # masks and `find_envy_cycle` searches them. Agent i envies only
+        # agent i+1; without the last agent's envy of agent 0 the graph is
+        # acyclic.
         n = 1100
         assert sys.getrecursionlimit() < n
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[i][i], rows[i][(i + 1) % n] = 1, 2
         allocation = Allocation.of([[i] for i in range(n)], n)
-        assert find_envy_cycle(Instance.from_rows(rows), allocation) == tuple(range(n))
+        assert envy_cycle(Instance.from_rows(rows), allocation) == tuple(range(n))
         rows[n - 1][0] = 0
-        assert find_envy_cycle(Instance.from_rows(rows), allocation) is None
+        assert envy_cycle(Instance.from_rows(rows), allocation) is None
 
     def test_matrix_search_over_a_2000_agent_chain(self):
         # The chain is longer than the default recursion limit allows a
@@ -559,9 +615,9 @@ class TestEnvyCycles:
         values = [[0] * n for _ in range(n)]
         for i in range(n - 1):
             values[i][i], values[i][i + 1] = 1, 2
-        assert _envy_cycle_in_masks(_envy_masks(values)) is None
+        assert find_envy_cycle(_envy_masks(values)) is None
         values[n - 1][n - 1], values[n - 1][0] = 1, 2
-        assert _envy_cycle_in_masks(_envy_masks(values)) == tuple(range(n))
+        assert find_envy_cycle(_envy_masks(values)) == tuple(range(n))
 
 
 @st.composite
@@ -582,7 +638,7 @@ class TestCycleSearchAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(value_matrices())
     def test_same_cycle_as_the_list_search(self, values):
-        assert _envy_cycle_in_masks(_envy_masks(values)) == reference_envy_cycle(values)
+        assert find_envy_cycle(_envy_masks(values)) == reference_envy_cycle(values)
 
     def test_same_cycle_on_seeded_matrices(self):
         rng = random.Random(3)
@@ -594,7 +650,7 @@ class TestCycleSearchAgainstReference:
                 for _ in range(n)
             ]
             expected = reference_envy_cycle(values)
-            assert _envy_cycle_in_masks(_envy_masks(values)) == expected
+            assert find_envy_cycle(_envy_masks(values)) == expected
             found[expected is not None] += 1
         assert min(found.values()) > 300  # both cycles and acyclic graphs
 
@@ -636,14 +692,14 @@ class TestRotation:
             for item in range(m):
                 bundles[rng.randrange(n)].append(item)
             allocation = Allocation.of(bundles, m)
-            cycle = find_envy_cycle(instance, allocation)
+            cycle = envy_cycle(instance, allocation)
             if cycle is None:
                 continue
             rotations += 1
-            before_edges = strict_envy_edges(instance, allocation)
+            before_edges = edge_count(strict_envy_edges(instance, allocation))
             rotated = rotate_bundles(allocation, cycle)
-            after_edges = strict_envy_edges(instance, rotated)
-            assert len(after_edges) < len(before_edges)
+            after_edges = edge_count(strict_envy_edges(instance, rotated))
+            assert after_edges < before_edges
             for agent in cycle:
                 assert bundle_value(instance, agent, rotated.bundles[agent]) > (
                     bundle_value(instance, agent, allocation.bundles[agent])

@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -128,11 +129,33 @@ class TestInstanceFiles:
         assert forms[0] != halves[0]
 
     def test_a_bool_takes_the_fraction_path(self):
-        instance = Instance.from_rows([[True, 2]])
-        assert instance == Instance.from_rows([[1, 2]])
-        assert type(instance.rows[0][0]) is int and instance.scales == (1,)
+        """A bool is not an int entry, so its row is read value by value
+        through `parse_rational`, which refuses it as instance files do."""
+        with pytest.raises(InvalidInstance, match="expected an integer or 'p/q' string, got True"):
+            Instance.from_rows([[True, 2]])
         with pytest.raises(InvalidInstance, match="valuation True is not an int"):
             Instance(((True, 2),), (1,))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "expected an integer or 'p/q' string, got True"),
+            (1.5, "expected an integer or 'p/q' string, got 1.5"),
+            (Decimal("0.5"), "expected an integer or 'p/q' string, got Decimal('0.5')"),
+            ("abc", "bad rational 'abc': Invalid literal for Fraction: 'abc'"),
+            ("1/0", "bad rational '1/0': Fraction(1, 0)"),
+            (None, "expected an integer or 'p/q' string, got None"),
+        ],
+        ids=["bool", "float", "decimal", "no-number", "zero-denominator", "none"],
+    )
+    def test_from_rows_reads_values_as_instance_files_do(self, value, message):
+        with pytest.raises(InvalidInstance) as raised:
+            Instance.from_rows([[1, value]])
+        assert str(raised.value) == message
+        if not isinstance(value, Decimal):  # JSON has no decimal type
+            with pytest.raises(InvalidInstance) as raised:
+                instance_from_json(json.dumps({"valuations": [[1, value]]}))
+            assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "rows, scales, message",

@@ -595,5 +595,5 @@ class TestMatchingProperties:
     def test_strict_envy_graph_is_acyclic(self):
         for _, instance in self.INSTANCES:
             result = nsw_matching(instance)
-            edges = strict_envy_edges(instance, result.allocation)
-            topological_order(instance.agent_count, edges)  # must not raise
+            masks = strict_envy_edges(instance, result.allocation)
+            topological_order(masks)  # must not raise
